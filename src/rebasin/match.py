@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lap import solve_lap
-from .model import NORM_KINDS, POST, PRE, ModelGraph, forward, stat_key, wiring
+from .model import POST, PRE, _check_same_arch, forward, wiring
 from .probes import l2_distance
 
 _NORM_PARAM_SUFFIXES = ("gamma", "beta", "scale", "shift",
@@ -117,16 +117,6 @@ def apply_perm(model, spec):
 
 
 # ---------------------------------------------------------------- weight matching
-
-def _check_same_arch(a, b):
-    if a.boundary_map != b.boundary_map or tuple(a.input_shape) != tuple(b.input_shape):
-        raise ValueError("models differ in boundaries or input shape")
-    if set(a.params) != set(b.params):
-        raise ValueError("models hold different parameter tensors")
-    for k in a.params:
-        if a.params[k].shape != b.params[k].shape:
-            raise ValueError(f"shape mismatch at {k}")
-
 
 def _feeder(wir, layer_idx):
     for bid, b in wir.items():

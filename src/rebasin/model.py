@@ -353,54 +353,61 @@ def wiring(model):
     return out
 
 
-# ---------------------------------------------------------------- forward
+def _check_same_arch(a, b):
+    if a.boundary_map != b.boundary_map or tuple(a.input_shape) != tuple(b.input_shape):
+        raise ValueError("models differ in boundaries or input shape")
+    if set(a.params) != set(b.params):
+        raise ValueError("models hold different parameter tensors")
+    for k in a.params:
+        if a.params[k].shape != b.params[k].shape:
+            raise ValueError(f"shape mismatch at {k}")
 
-def _layer_forward(spec, params, x, mode, update_stats, collect_norm_stats):
-    kind = spec.kind
+
+# ---------------------------------------------------------------- layer table
+#
+# Each layer kind's forward and backward are written once, here: the eval
+# forward with taps, the cached training forward, backprop and the per-sample
+# Fisher pass all run through _walk and _backward.
+
+def _layer_fwd(spec, p, x, use_batch, update_stats, collect_norm_stats):
+    """One layer's forward: (output, the cache _backward needs)."""
+    kind, name = spec.kind, spec.name
     if kind == "dense":
-        return ops.dense_fwd(x, params[f"{spec.name}.w"],
-                             params.get(f"{spec.name}.b"))
+        return ops.dense_fwd(x, p[f"{name}.w"], p.get(f"{name}.b")), x
     if kind == "conv2d":
-        y, _ = ops.conv2d_fwd(x, params[f"{spec.name}.w"],
-                              params.get(f"{spec.name}.b"), spec.stride, spec.pad)
-        return y
+        y, cols = ops.conv2d_fwd(x, p[f"{name}.w"], p.get(f"{name}.b"),
+                                 spec.stride, spec.pad)
+        return y, (cols, x.shape)
     if kind == "relu":
-        return ops.relu_fwd(x)
+        return ops.relu_fwd(x), x
     if kind == "maxpool2d":
-        y, _ = ops.maxpool_fwd(x, spec.kernel, spec.stride)
-        return y
+        y, arg = ops.maxpool_fwd(x, spec.kernel, spec.stride)
+        return y, (x.shape, arg)
     if kind == "flatten":
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], -1), x.shape
     if kind == "batchnorm":
-        gamma = params.get(f"{spec.name}.gamma")
-        beta = params.get(f"{spec.name}.beta")
-        use_batch = (mode == "train") or spec.batch_stats_in_eval
         try:
-            y, _, bm, bv = ops.batchnorm_fwd(
-                x, gamma, beta, params[f"{spec.name}.running_mean"],
-                params[f"{spec.name}.running_var"], spec.eps, use_batch)
+            y, cache, bm, bv = ops.batchnorm_fwd(
+                x, p.get(f"{name}.gamma"), p.get(f"{name}.beta"),
+                p[f"{name}.running_mean"], p[f"{name}.running_var"], spec.eps,
+                use_batch)
         except ValueError as e:
-            raise ValueError(f"{spec.name}: {e}") from None
+            raise ValueError(f"{name}: {e}") from None
         if use_batch:
             if collect_norm_stats is not None:
-                collect_norm_stats.setdefault(spec.name, []).append(
+                collect_norm_stats.setdefault(name, []).append(
                     (np.asarray(bm, dtype=np.float64), np.asarray(bv, dtype=np.float64)))
-            if update_stats and mode == "train":
+            if update_stats:
                 m = spec.momentum
-                rm = params[f"{spec.name}.running_mean"]
-                rv = params[f"{spec.name}.running_var"]
-                params[f"{spec.name}.running_mean"] = (
-                    (1 - m) * rm + m * bm).astype(rm.dtype)
-                params[f"{spec.name}.running_var"] = (
-                    (1 - m) * rv + m * bv).astype(rv.dtype)
-        return y
+                rm, rv = p[f"{name}.running_mean"], p[f"{name}.running_var"]
+                p[f"{name}.running_mean"] = ((1 - m) * rm + m * bm).astype(rm.dtype)
+                p[f"{name}.running_var"] = ((1 - m) * rv + m * bv).astype(rv.dtype)
+        return y, cache
     if kind == "layernorm":
-        y, _ = ops.layernorm_fwd(x, params.get(f"{spec.name}.gamma"),
-                                 params.get(f"{spec.name}.beta"), spec.eps)
-        return y
+        return ops.layernorm_fwd(x, p.get(f"{name}.gamma"), p.get(f"{name}.beta"),
+                                 spec.eps)
     if kind == "channel_affine":
-        return ops.channel_affine_fwd(x, params[f"{spec.name}.scale"],
-                                      params[f"{spec.name}.shift"])
+        return ops.channel_affine_fwd(x, p[f"{name}.scale"], p[f"{name}.shift"]), x
     raise BuildError(f"unknown layer kind {kind!r}")
 
 
@@ -417,6 +424,49 @@ def _update_tracked(params, bid, value):
     m = TRACKED_MOMENTUM
     params[key_m] = ((1 - m) * params[key_m] + m * mu).astype(np.float32)
     params[key_v] = ((1 - m) * params[key_v] + m * var).astype(np.float32)
+
+
+def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
+          collect_norm_stats=None):
+    """The one layer loop: returns (output, {(bid, phase): tapped value}).
+
+    batch_stats puts every batchnorm on batch (True) or running (False)
+    statistics; None leaves the choice to each layer's batch_stats_in_eval.
+    update_stats moves the running statistics of layers on batch statistics
+    and, with track, any tracked boundary statistics. With a caches list,
+    each layer's backward cache is appended to it. Without one (an eval pass)
+    no cache outlives its layer, and every layer output is checked for
+    non-finite values; training leaves that to its loss check, so divergence
+    is reported with the iteration.
+    """
+    p = model.params
+    tracked = update_stats and track and any(k.startswith("stats.") for k in p)
+    at = {}   # layer index -> [(bid, phase)] to tap or track there
+    if taps or tracked:
+        for b in wiring(model).values():
+            if (b.bid, PRE) in taps or (tracked and f"stats.{b.bid}.mean" in p):
+                at.setdefault(b.pre_tap, []).append((b.bid, PRE))
+            if (b.bid, POST) in taps:
+                at.setdefault(b.post_tap, []).append((b.bid, POST))
+
+    captured = {}
+    cur = x
+    for idx, spec in enumerate(model.layers):
+        use_batch = spec.batch_stats_in_eval if batch_stats is None else batch_stats
+        cur, cache = _layer_fwd(spec, p, cur, use_batch, update_stats,
+                                collect_norm_stats)
+        if caches is None:
+            del cache   # conv cols are large; an eval pass drops them at once
+            if not np.all(np.isfinite(cur)):
+                raise NonFiniteError(spec.name)
+        else:
+            caches.append((spec, cache))
+        for bid, phase in at.get(idx, ()):
+            if (bid, phase) in taps:
+                captured[(bid, phase)] = cur
+            if phase == PRE and tracked and f"stats.{bid}.mean" in p:
+                _update_tracked(p, bid, cur)
+    return cur, captured
 
 
 def forward(model, x, taps=None, mode="eval", update_stats=None,
@@ -438,35 +488,79 @@ def forward(model, x, taps=None, mode="eval", update_stats=None,
             f"batch shape {x.shape[1:]} does not match input shape {model.input_shape}")
 
     requests = [tuple(t) for t in taps] if taps is not None else []
-    tracked = update_stats and mode == "train" and any(
-        k.startswith("stats.") for k in model.params)
-    capture = {}
-    if requests or tracked:
-        wir = wiring(model)
-        for b in wir.values():
-            if (b.bid, PRE) in requests or tracked:
-                capture.setdefault(b.pre_tap, []).append((b.bid, PRE))
-            if (b.bid, POST) in requests:
-                capture.setdefault(b.post_tap, []).append((b.bid, POST))
-
-    captured = {}
-    cur = x
-    for idx, spec in enumerate(model.layers):
-        cur = _layer_forward(spec, model.params, cur, mode, update_stats,
-                             collect_norm_stats)
-        if not np.all(np.isfinite(cur)):
-            raise NonFiniteError(spec.name)
-        for bid, phase in capture.get(idx, ()):
-            if (bid, phase) in requests:
-                captured[(bid, phase)] = cur
-            if phase == PRE and tracked and f"stats.{bid}.mean" in model.params:
-                _update_tracked(model.params, bid, cur)
-
+    units = dict(model.boundary_map)
+    for bid, phase in requests:
+        if bid not in units or phase not in (PRE, POST):
+            raise ValueError(f"unknown tap ({bid!r}, {phase!r}): boundaries are "
+                             f"{list(units)}, phases {PRE!r} and {POST!r}")
+    train = mode == "train"
+    cur, captured = _walk(model, x, batch_stats=True if train else None,
+                          update_stats=update_stats and train, track=True,
+                          taps=requests, collect_norm_stats=collect_norm_stats)
     if taps is None:
         return cur
-    tap_list = [ActivationTap(bid, phase, captured[(bid, phase)])
-                for (bid, phase) in dict.fromkeys(requests)]
-    return cur, tap_list
+    return cur, [ActivationTap(bid, phase, captured[(bid, phase)])
+                 for (bid, phase) in dict.fromkeys(requests)]
+
+
+def _forward_cached(model, x, update_stats=True, track=False, bn_batch_stats=True):
+    """Forward pass that keeps per-layer caches for _backward: (output, caches).
+
+    Batchnorm uses batch statistics unless bn_batch_stats is false (running
+    statistics keep samples independent, which per-sample gradients need).
+    """
+    caches = []
+    cur, _ = _walk(model, x, batch_stats=bn_batch_stats, update_stats=update_stats,
+                   track=track, caches=caches)
+    return cur, caches
+
+
+def _backward(model, caches, dy, weight_hook=None):
+    """Backprop dy through the cached layers: gradients keyed by tensor name,
+    and the input gradient under "x".
+
+    weight_hook(key, sq), when given, stands in for the dense/conv weight and
+    bias gradients: it receives each weight's float64 sum over samples of
+    squared per-sample gradients. That is exact only when every layer acts
+    per sample (batchnorm on running statistics).
+    """
+    p = model.params
+    grads = {}
+    for spec, cache in reversed(caches):
+        kind, name = spec.kind, spec.name
+        if kind == "dense":
+            w = p[f"{name}.w"]
+            if weight_hook:
+                weight_hook(f"{name}.w", ops.dense_sq_grad(cache, dy))
+                dy = ops.dense_dx(w, dy)
+            else:
+                dy, grads[f"{name}.w"], db = ops.dense_bwd(cache, w, dy)
+        elif kind == "conv2d":
+            w, (cols, x_shape) = p[f"{name}.w"], cache
+            if weight_hook:
+                weight_hook(f"{name}.w", ops.conv2d_sq_grad(cols, w.shape, dy))
+                dy = ops.conv2d_dx(x_shape, w, dy, spec.stride, spec.pad)
+            else:
+                dy, grads[f"{name}.w"], db = ops.conv2d_bwd(
+                    cols, x_shape, w, dy, spec.stride, spec.pad)
+        elif kind == "relu":
+            dy = ops.relu_bwd(cache, dy)
+        elif kind == "maxpool2d":
+            dy = ops.maxpool_bwd(*cache, spec.kernel, spec.stride, dy)
+        elif kind == "flatten":
+            dy = dy.reshape(cache)
+        elif kind in ("batchnorm", "layernorm"):
+            bwd = ops.batchnorm_bwd if kind == "batchnorm" else ops.layernorm_bwd
+            dy, dgamma, dbeta = bwd(cache, dy)
+            if f"{name}.gamma" in p:
+                grads[f"{name}.gamma"], grads[f"{name}.beta"] = dgamma, dbeta
+        else:  # channel_affine
+            dy, grads[f"{name}.scale"], grads[f"{name}.shift"] = \
+                ops.channel_affine_bwd(cache, p[f"{name}.scale"], dy)
+        if kind in WEIGHT_KINDS and not weight_hook and f"{name}.b" in p:
+            grads[f"{name}.b"] = db
+    grads["x"] = dy
+    return grads
 
 
 # ---------------------------------------------------------------- folding

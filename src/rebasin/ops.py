@@ -23,11 +23,20 @@ def dense_fwd(x, w, b):
     return y
 
 
+def dense_dx(w, dy):
+    return dy @ w
+
+
 def dense_bwd(x, w, dy):
-    dx = dy @ w
+    dx = dense_dx(w, dy)
     dw = dy.T @ x
     db = dy.sum(axis=0)
     return dx, dw, db
+
+
+def dense_sq_grad(x, dy):
+    """Sum over samples of the squared per-sample weight gradient, in float64."""
+    return dy.astype(np.float64).T ** 2 @ x.astype(np.float64) ** 2
 
 
 # ---------------------------------------------------------------- conv2d
@@ -72,15 +81,27 @@ def conv2d_fwd(x, w, b, stride, pad):
     return y, cols
 
 
-def conv2d_bwd(cols, x_shape, w, dy, stride, pad):
+def _dy_rows(dy):
     n, cout, ho, wo = dy.shape
-    k = w.shape[2]
-    dy_mat = dy.reshape(n, cout, ho * wo).transpose(0, 2, 1)   # (N, Ho*Wo, Cout)
-    dw = np.einsum("npo,npk->ok", dy_mat, cols).reshape(w.shape)
+    return dy.reshape(n, cout, ho * wo).transpose(0, 2, 1)     # (N, Ho*Wo, Cout)
+
+
+def conv2d_dx(x_shape, w, dy, stride, pad):
+    dcols = _dy_rows(dy) @ w.reshape(w.shape[0], -1)
+    return col2im(dcols, x_shape, w.shape[2], stride, pad, dy.shape[2:])
+
+
+def conv2d_bwd(cols, x_shape, w, dy, stride, pad):
+    dw = np.einsum("npo,npk->ok", _dy_rows(dy), cols).reshape(w.shape)
     db = dy.sum(axis=(0, 2, 3))
-    dcols = dy_mat @ w.reshape(cout, -1)
-    dx = col2im(dcols, x_shape, k, stride, pad, (ho, wo))
-    return dx, dw, db
+    return conv2d_dx(x_shape, w, dy, stride, pad), dw, db
+
+
+def conv2d_sq_grad(cols, w_shape, dy):
+    """Sum over samples of the squared per-sample weight gradient, in float64."""
+    g = np.einsum("npo,npk->nok", _dy_rows(dy).astype(np.float64),
+                  cols.astype(np.float64))
+    return (g ** 2).sum(axis=0).reshape(w_shape)
 
 
 # ---------------------------------------------------------------- relu / pool / flatten
@@ -188,7 +209,6 @@ def layernorm_bwd(cache, dy):
     else:
         dgamma = dbeta = None
         g = dy
-    m = np.prod([dy.shape[a] for a in axes])
     dx = inv * (g - g.mean(axis=axes, keepdims=True)
                 - xhat * (g * xhat).mean(axis=axes, keepdims=True))
     return dx, dgamma, dbeta

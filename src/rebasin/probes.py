@@ -109,9 +109,8 @@ def channel_probe(model, dataset, batch_size=256, max_batches=None,
     fisher = {}
     if with_fisher:
         from .prune import _diag_fisher, prunable_keys  # avoids an import cycle
-        limit = max_batches if max_batches is not None else None
-        raw = _diag_fisher(model.copy(), prunable_keys(model), dataset,
-                           batch_size, limit)
+        raw = _diag_fisher(model, prunable_keys(model), dataset, batch_size,
+                           max_batches)
         fisher = {k: float(v.mean()) for k, v in raw.items()}
     return LayerProbe(rows=rows, fisher=fisher, batch_count=batch_count)
 

@@ -11,10 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
-from .model import WEIGHT_KINDS
+from .model import WEIGHT_KINDS, _backward, _check_same_arch, _forward_cached
 from .renorm import measure_stats, repair, reset_bn
-from .train import _forward_cached
 
 METHODS = ("magnitude", "diag_fisher")
 GRANULARITIES = ("global", "layerwise")
@@ -87,57 +85,19 @@ class PruneMask:
 
 # ---------------------------------------------------------------- scoring
 
-def _fisher_accumulate(model, caches, dper, acc):
-    """Add per-sample squared weight gradients to acc, walking like backprop.
-
-    dper holds d(per-sample loss)/d(layer output) rows, one per sample; all
-    layers here act sample-independently (batchnorm ran on running stats), so
-    squaring per-sample contributions before the reduction is exact.
-    """
-    p = model.params
-    dy = dper
-    for spec, cache in reversed(caches):
-        kind, name = spec.kind, spec.name
-        if kind == "dense":
-            x = cache
-            g64 = dy.astype(np.float64)
-            acc[f"{name}.w"] += g64.T ** 2 @ x.astype(np.float64) ** 2
-            dy = dy @ p[f"{name}.w"]
-        elif kind == "conv2d":
-            cols, x_shape = cache
-            n, cout, ho, wo = dy.shape
-            dy_mat = dy.reshape(n, cout, ho * wo).transpose(0, 2, 1)
-            g = np.einsum("npo,npk->nok", dy_mat.astype(np.float64),
-                          cols.astype(np.float64))
-            acc[f"{name}.w"] += (g ** 2).sum(axis=0).reshape(
-                p[f"{name}.w"].shape)
-            k = spec.kernel
-            dcols = dy_mat @ p[f"{name}.w"].reshape(cout, -1)
-            dy = ops.col2im(dcols, x_shape, k, spec.stride, spec.pad, (ho, wo))
-        elif kind == "relu":
-            dy = ops.relu_bwd(cache, dy)
-        elif kind == "maxpool2d":
-            x_shape, arg = cache
-            dy = ops.maxpool_bwd(x_shape, arg, spec.kernel, spec.stride, dy)
-        elif kind == "flatten":
-            dy = dy.reshape(cache)
-        elif kind == "batchnorm":
-            dy = ops.batchnorm_bwd(cache, dy)[0]
-        elif kind == "layernorm":
-            dy = ops.layernorm_bwd(cache, dy)[0]
-        elif kind == "channel_affine":
-            dy = ops.channel_affine_bwd(cache, p[f"{name}.scale"], dy)[0]
-        else:
-            raise ValueError(f"cannot score through layer kind {kind!r}")
-
-
 def _diag_fisher(model, keys, dataset, batch_size, max_batches):
     acc = {k: np.zeros(model.params[k].shape, dtype=np.float64) for k in keys}
+
+    def add_sq_grads(key, sq):
+        if key in acc:
+            acc[key] += sq
+
     seen = 0
     for b, (xb, yb) in enumerate(dataset.batches(batch_size, shuffle=False,
                                                  drop_last=False)):
         if max_batches is not None and b >= max_batches:
             break
+        # batchnorm on running statistics keeps the samples independent
         logits, caches = _forward_cached(model, xb, update_stats=False,
                                          bn_batch_stats=False)
         # d(per-sample loss)/dlogits = softmax - onehot, one row per sample
@@ -146,7 +106,7 @@ def _diag_fisher(model, keys, dataset, batch_size, max_batches):
         prob = np.exp(z)
         prob /= prob.sum(axis=1, keepdims=True)
         prob[np.arange(len(yb)), yb] -= 1.0
-        _fisher_accumulate(model, caches, prob.astype(logits.dtype), acc)
+        _backward(model, caches, prob.astype(logits.dtype), weight_hook=add_sq_grads)
         seen += len(yb)
     if seen == 0:
         raise ValueError("dataset smaller than one batch")
@@ -253,9 +213,7 @@ def post_prune_repair(pruned, original, dataset, mode="reset", batch_size=256,
             and insert affine corrections that restore them on the pruned
             one; corrections fold away afterwards via fold_affine.
     """
-    if pruned.boundary_map != original.boundary_map or \
-            set(pruned.params) != set(original.params):
-        raise ValueError("pruned and original models differ in architecture")
+    _check_same_arch(pruned, original)
     if mode == "reset":
         if not any(s.kind == "batchnorm" for s in pruned.layers):
             raise ValueError("reset repair needs batchnorm layers")

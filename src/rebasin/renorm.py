@@ -8,14 +8,12 @@ are stored as float32 model parameters.
 """
 import csv
 import json
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PRE, LayerSpec, forward, wiring
+from .model import PRE, LayerSpec, _check_same_arch, forward, wiring
 from .train import evaluate
 
 RENORM_MODES = ("none", "reset", "repair", "rescale", "rescale_avg", "reshift")
@@ -80,13 +78,6 @@ class CurveReport:
 
 
 # ---------------------------------------------------------------- interpolation
-
-def _check_same_arch(a, b):
-    if a.boundary_map != b.boundary_map or tuple(a.input_shape) != tuple(b.input_shape):
-        raise ValueError("models differ in boundaries or input shape")
-    if set(a.params) != set(b.params):
-        raise ValueError("models hold different parameter tensors")
-
 
 def interpolate(model_a, model_b, lam):
     """Convex combination (1-lam)*a + lam*b of every tensor, running
@@ -355,14 +346,14 @@ def _barrier(lams, vals, higher_is_worse):
 
 def eval_curve(model_a, model_b, train_ds, test_ds=None, grid=None, quick=False,
                mode="none", sequential=False, batch_size=512,
-               stats_batch_size=256, threads=None):
+               stats_batch_size=256):
     """Loss/accuracy along the linear path between two models.
 
     The default grid is 11 uniform points; quick mode evaluates {0, 0.5, 1}.
     mode selects the per-point re-normalization; repair-family goals are the
     lam-mix of statistics measured once at each endpoint.  The barrier is the
     worst gap to the linear baseline between the endpoints (for accuracy, the
-    worst shortfall).  Thread count comes from REBASIN_THREADS unless given.
+    worst shortfall).
     """
     if mode not in RENORM_MODES:
         raise ValueError(f"mode must be one of {RENORM_MODES}")
@@ -394,13 +385,7 @@ def eval_curve(model_a, model_b, train_ds, test_ds=None, grid=None, quick=False,
             row += evaluate(m, test_ds, batch_size=batch_size)
         return row
 
-    if threads is None:
-        threads = int(os.environ.get("REBASIN_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(eval_point, lams))
-    else:
-        rows = [eval_point(lam) for lam in lams]
+    rows = [eval_point(lam) for lam in lams]
 
     rep = CurveReport(
         lams=lams, mode=mode, sequential=sequential,

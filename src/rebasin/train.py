@@ -9,13 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ops
-from .model import (
-    WEIGHT_KINDS,
-    ModelGraph,
-    _update_tracked,
-    stat_key,
-    wiring,
-)
+from .model import WEIGHT_KINDS, _backward, _forward_cached, stat_key
 
 _SCHEDULES = ("constant", "step", "cosine")
 _INIT_SCHEMES = ("kaiming_uniform", "kaiming_normal")
@@ -154,118 +148,12 @@ def lr_at(config, iteration, total_iters=None):
 
 # ---------------------------------------------------------------- forward/backward
 
-def _forward_cached(model, x, update_stats=True, track=False,
-                    bn_batch_stats=True):
-    """Forward pass that keeps per-layer caches for backprop.
-
-    Batchnorm uses batch statistics unless bn_batch_stats is false (running
-    statistics keep samples independent, which per-sample gradient consumers
-    need); running statistics update with the layer's momentum when
-    update_stats is set, as do any tracked boundary statistics when track is.
-    """
-    p = model.params
-    pre_map = {}
-    if track and any(k.startswith("stats.") for k in p):
-        for b in wiring(model).values():
-            if f"stats.{b.bid}.mean" in p:
-                pre_map[b.pre_tap] = b.bid
-    caches = []
-    cur = x
-    for idx, spec in enumerate(model.layers):
-        kind, name = spec.kind, spec.name
-        if kind == "dense":
-            caches.append((spec, cur))
-            cur = ops.dense_fwd(cur, p[f"{name}.w"], p.get(f"{name}.b"))
-        elif kind == "conv2d":
-            y, cols = ops.conv2d_fwd(cur, p[f"{name}.w"], p.get(f"{name}.b"),
-                                     spec.stride, spec.pad)
-            caches.append((spec, (cols, cur.shape)))
-            cur = y
-        elif kind == "relu":
-            caches.append((spec, cur))
-            cur = ops.relu_fwd(cur)
-        elif kind == "maxpool2d":
-            y, arg = ops.maxpool_fwd(cur, spec.kernel, spec.stride)
-            caches.append((spec, (cur.shape, arg)))
-            cur = y
-        elif kind == "flatten":
-            caches.append((spec, cur.shape))
-            cur = cur.reshape(cur.shape[0], -1)
-        elif kind == "batchnorm":
-            try:
-                y, cache, bm, bv = ops.batchnorm_fwd(
-                    cur, p.get(f"{name}.gamma"), p.get(f"{name}.beta"),
-                    p[f"{name}.running_mean"], p[f"{name}.running_var"],
-                    spec.eps, use_batch=bn_batch_stats)
-            except ValueError as e:
-                raise ValueError(f"{name}: {e}") from None
-            if update_stats and bn_batch_stats:
-                m = spec.momentum
-                rm, rv = p[f"{name}.running_mean"], p[f"{name}.running_var"]
-                p[f"{name}.running_mean"] = ((1 - m) * rm + m * bm).astype(rm.dtype)
-                p[f"{name}.running_var"] = ((1 - m) * rv + m * bv).astype(rv.dtype)
-            caches.append((spec, cache))
-            cur = y
-        elif kind == "layernorm":
-            cur, cache = ops.layernorm_fwd(cur, p.get(f"{name}.gamma"),
-                                           p.get(f"{name}.beta"), spec.eps)
-            caches.append((spec, cache))
-        elif kind == "channel_affine":
-            caches.append((spec, cur))
-            cur = ops.channel_affine_fwd(cur, p[f"{name}.scale"], p[f"{name}.shift"])
-        else:
-            raise ValueError(f"cannot train layer kind {kind!r}")
-        if update_stats and idx in pre_map:
-            _update_tracked(p, pre_map[idx], cur)
-    return cur, caches
-
-
-def _backward(model, caches, dlogits):
-    p = model.params
-    grads = {}
-    dy = dlogits
-    for spec, cache in reversed(caches):
-        kind, name = spec.kind, spec.name
-        if kind == "dense":
-            dy, dw, db = ops.dense_bwd(cache, p[f"{name}.w"], dy)
-            grads[f"{name}.w"] = dw
-            if f"{name}.b" in p:
-                grads[f"{name}.b"] = db
-        elif kind == "conv2d":
-            cols, x_shape = cache
-            dy, dw, db = ops.conv2d_bwd(cols, x_shape, p[f"{name}.w"], dy,
-                                        spec.stride, spec.pad)
-            grads[f"{name}.w"] = dw
-            if f"{name}.b" in p:
-                grads[f"{name}.b"] = db
-        elif kind == "relu":
-            dy = ops.relu_bwd(cache, dy)
-        elif kind == "maxpool2d":
-            x_shape, arg = cache
-            dy = ops.maxpool_bwd(x_shape, arg, spec.kernel, spec.stride, dy)
-        elif kind == "flatten":
-            dy = dy.reshape(cache)
-        elif kind in ("batchnorm", "layernorm"):
-            bwd = ops.batchnorm_bwd if kind == "batchnorm" else ops.layernorm_bwd
-            dy, dgamma, dbeta = bwd(cache, dy)
-            if f"{name}.gamma" in p:
-                grads[f"{name}.gamma"] = dgamma
-                grads[f"{name}.beta"] = dbeta
-        elif kind == "channel_affine":
-            dy, dscale, dshift = ops.channel_affine_bwd(cache, p[f"{name}.scale"], dy)
-            grads[f"{name}.scale"] = dscale
-            grads[f"{name}.shift"] = dshift
-    grads["x"] = dy
-    return grads
-
-
-def loss_and_grads(model, x, y, update_stats=False, track=False):
+def loss_and_grads(model, x, y, update_stats=False):
     """Train-mode cross-entropy loss and parameter gradients for one batch.
 
     Gradients are keyed by parameter name; the input gradient sits under "x".
     """
-    logits, caches = _forward_cached(model, x, update_stats=update_stats,
-                                     track=track)
+    logits, caches = _forward_cached(model, x, update_stats=update_stats)
     loss, dlogits = ops.softmax_cross_entropy(logits, y)
     return loss, _backward(model, caches, dlogits)
 

@@ -301,6 +301,15 @@ def test_tap_includes_norm_in_pre_activation():
     np.testing.assert_allclose(pre, normed, rtol=1e-5, atol=1e-6)
 
 
+@pytest.mark.parametrize("tap, named", [(("b9", "pre_activation"), "'b9'"),
+                                        (("b0", "bogus"), "'bogus'")],
+                         ids=["boundary", "phase"])
+def test_unknown_tap_request_is_a_value_error_naming_it(tap, named):
+    m = seed_params(build_model(mlp_descriptor(6, [5, 4], 3)), seed=10)
+    with pytest.raises(ValueError, match=named):
+        forward(m, rand_batch((6,), 3, seed=11), taps=[tap])
+
+
 def test_conv_tap_keeps_spatial_layout():
     m = seed_params(build_model(small_cnn_desc()), seed=14)
     x = rand_batch((2, 8, 8), 2, seed=15)

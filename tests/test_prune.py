@@ -124,9 +124,30 @@ def test_fisher_single_sample_matches_analytic():
         rtol=1e-12)
 
 
-def test_fisher_matches_per_sample_backprop_loop():
-    m = as_float64(tiny_mlp(seed=2))
-    ds = fisher_ds(n=8)
+def every_kind_cnn(seed):
+    """Strided conv, layernorm, stride-1 maxpool and channel_affine in one
+    batchnorm-free net, so per-sample backprop is an exact Fisher oracle."""
+    desc = {"input_shape": [2, 6, 6], "layers": [
+        {"kind": "conv2d", "out": 3, "k": 3, "stride": 2, "pad": 1},
+        {"kind": "layernorm"},
+        {"kind": "relu"},
+        {"kind": "maxpool2d", "k": 2, "stride": 1},
+        {"kind": "conv2d", "out": 4, "k": 3, "pad": 1},
+        {"kind": "channel_affine"},
+        {"kind": "relu"},
+        {"kind": "flatten"},
+        {"kind": "dense", "out": 3},
+    ]}
+    return seed_params(build_model(desc), seed)
+
+
+@pytest.mark.parametrize("make, ds_kw", [
+    (tiny_mlp, {}),
+    (every_kind_cnn, {"dims": 2 * 6 * 6, "image_shape": (2, 6, 6)}),
+], ids=["mlp", "every_kind_cnn"])
+def test_fisher_matches_per_sample_backprop_loop(make, ds_kw):
+    m = as_float64(make(seed=2))
+    ds = fisher_ds(n=8, **ds_kw)
     smap = score(m, method="diag_fisher", dataset=ds, batch_size=4,
                  scale_by_weight_sq=False)
 
@@ -176,6 +197,16 @@ def test_fisher_on_batchnorm_cnn_matches_finite_differences():
             flat[j] = old
             want.reshape(-1)[j] = (per ** 2).mean()
         np.testing.assert_allclose(smap.scores[k], want, rtol=1e-4, atol=1e-10)
+
+
+def test_fisher_first_layer_exemption_scores_the_rest():
+    m = tiny_mlp(seed=3)
+    full = score(m, method="diag_fisher", dataset=fisher_ds(), batch_size=4)
+    exempt = score(m, method="diag_fisher", dataset=fisher_ds(), batch_size=4,
+                   exempt_first=True)
+    assert list(exempt.scores) == ["dense1.w", "dense2.w"]
+    for k, v in exempt.scores.items():
+        assert bits_equal(v, full.scores[k])
 
 
 def test_fisher_zero_weight_model_scores_zero():

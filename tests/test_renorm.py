@@ -91,6 +91,13 @@ def test_interpolate_validates():
         interpolate(a, random_mlp(8, widths=(9, 8)), 0.5)
 
 
+def test_interpolate_rejects_a_different_head_width():
+    # same tensor names and boundaries, but a 1-class head against a 3-class one
+    a, b = random_mlp(7, classes=1), random_mlp(8, classes=3)
+    with pytest.raises(ValueError, match="shape mismatch at dense2"):
+        interpolate(a, b, 0.5)
+
+
 # ---------------------------------------------------------------- statistics
 
 def test_measured_stats_match_two_pass_oracle():
@@ -232,15 +239,6 @@ def test_curve_report_csv_and_summary(tmp_path):
     assert len(lines) == 4
     s = rep.summary()
     assert s["mode"] == "none" and "train_loss" in s["barriers"]
-
-
-def test_threaded_curve_matches_serial(monkeypatch):
-    a, b, ds = trained_pair()
-    serial = eval_curve(a, b, ds, grid=[0.0, 0.5, 1.0])
-    monkeypatch.setenv("REBASIN_THREADS", "3")
-    threaded = eval_curve(a, b, ds, grid=[0.0, 0.5, 1.0])
-    assert serial.train_loss == threaded.train_loss
-    assert serial.barriers == threaded.barriers
 
 
 # ---------------------------------------------------------------- reset_bn
