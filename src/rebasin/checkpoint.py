@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .model import LayerSpec, ModelGraph
+from .model import WEIGHT_KINDS, LayerSpec, ModelGraph, layer_tensors, propagate_shapes
 
 MAGIC = b"RBNC"
 VERSION = 1
@@ -85,10 +85,42 @@ def load_checkpoint(path):
     if offset != len(data):
         raise CheckpointError(f"{len(data) - offset} unexpected trailing bytes")
 
-    return ModelGraph(
+    model = ModelGraph(
         layers=layers,
         params=params,
         boundary_map=[(b, int(n)) for b, n in header.get("boundary_map", [])],
         input_shape=tuple(header.get("input_shape", [])),
         meta=header.get("meta", {}),
     )
+    _check_consistent(model)
+    return model
+
+
+def _check_consistent(model):
+    """Layers must compose, the boundary map must name each hidden weight
+    layer's output, and the tensors must be exactly the layers' own (plus
+    optional tracked boundary statistics) in the layers' shapes."""
+    try:
+        propagate_shapes(model.layers, model.input_shape)
+    except (ValueError, TypeError, IndexError) as e:
+        raise CheckpointError(f"layers do not compose: {e}") from None
+    units = dict(model.boundary_map)
+    producers = {s.boundary: s.n_out for s in model.layers
+                 if s.kind in WEIGHT_KINDS and s.boundary is not None}
+    if units != producers:
+        raise CheckpointError(f"boundary map {units} disagrees with the weight "
+                              f"layers' boundaries {producers}")
+    want = {k: shape for s in model.layers
+            for k, (shape, _) in layer_tensors(s).items()}
+    missing = sorted(set(want) - set(model.params))
+    if missing:
+        raise CheckpointError(f"missing tensors {missing}")
+    tracked = {f"stats.{bid}.{st}": (n,) for bid, n in units.items()
+               for st in ("mean", "var")}
+    for name, arr in model.params.items():
+        shape = want.get(name, tracked.get(name))
+        if shape is None:
+            raise CheckpointError(f"tensor {name} belongs to no layer")
+        if arr.shape != tuple(shape):
+            raise CheckpointError(f"tensor {name} has shape {arr.shape}, "
+                                  f"its layer needs {tuple(shape)}")

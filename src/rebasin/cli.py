@@ -14,8 +14,8 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .lap import solve_lap
-from .match import activation_match, apply_perm, multi_match, weight_match
-from .model import NonFiniteError, build_model
+from .match import _resolve_matcher, apply_perm, multi_match
+from .model import POST, NonFiniteError, build_model
 from .probes import channel_probe
 from .prune import apply_mask, mask_from_scores, post_prune_repair, score
 from .renorm import RENORM_MODES, eval_curve
@@ -103,14 +103,17 @@ def _load_config(path):
 
 
 def _new_run_dir(out, command):
+    """Claim the first free <command>-NNN directory; mkdir is atomic, so
+    concurrent runs sharing an output root never claim the same one."""
     os.makedirs(out, exist_ok=True)
     i = 0
     while True:
         run = os.path.join(out, f"{command}-{i:03d}")
-        if not os.path.exists(run):
-            os.makedirs(run)
+        try:
+            os.mkdir(run)
             return run
-        i += 1
+        except FileExistsError:
+            i += 1
 
 
 def _write_json(path, doc):
@@ -163,17 +166,12 @@ def _cmd_match(cfg, run):
                       "max_sweeps", "batch_size"},
                 {"checkpoints"}, "match config")
     a, b = _load_models(cfg["checkpoints"], want=2)
-    matcher = cfg.get("matcher", "weight")
-    if matcher == "weight":
-        spec, report = weight_match(a, b, seed=int(cfg.get("seed", 0)),
-                                    max_sweeps=int(cfg.get("max_sweeps", 100)))
-    elif matcher == "activation":
-        if "dataset" not in cfg:
-            raise ValueError("activation matching needs a dataset")
-        spec, report = activation_match(a, b, _dataset(cfg["dataset"]),
-                                        batch_size=int(cfg.get("batch_size", 256)))
-    else:
-        raise ValueError(f"unknown matcher {matcher!r}")
+    match = _resolve_matcher(cfg.get("matcher", "weight"),
+                             _dataset(cfg["dataset"]) if "dataset" in cfg else None,
+                             seed=int(cfg.get("seed", 0)),
+                             batch_size=int(cfg.get("batch_size", 256)), phase=POST,
+                             max_sweeps=int(cfg.get("max_sweeps", 100)))
+    spec, report = match(a, b)
     _write_json(os.path.join(run, "perm.json"), {"perms": spec.to_jsonable()})
     _write_json(os.path.join(run, "report.json"),
                 {"objective": report.objective, "sweeps": report.sweeps,

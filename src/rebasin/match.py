@@ -12,6 +12,7 @@ import numpy as np
 
 from .lap import solve_lap
 from .model import POST, PRE, _check_same_arch, forward, wiring
+from .ops import DEAD_STD, Moments
 from .probes import l2_distance
 
 _NORM_PARAM_SUFFIXES = ("gamma", "beta", "scale", "shift",
@@ -216,21 +217,20 @@ def streaming_activation_stats(model_a, model_b, dataset, batch_size=256,
                                phase=POST):
     """Single-pass per-boundary activation statistics for a model pair.
 
-    Feeds identical batches to both models, reduces conv maps by spatial mean,
-    and accumulates per-batch means in float64.  Batches are equal-size
-    (remainder dropped), so averaging batch means is exact.  Returns, per
-    boundary: mean/std per unit for both models and the cross-correlation
-    matrix, with zero-variance units' rows and columns zeroed.
+    Feeds identical batches (equal-size, remainder dropped) to both models,
+    reduces conv maps by spatial mean, and merges batches through float64
+    Moments accumulators. Returns, per boundary: mean/std per unit for both
+    models and the cross-correlation matrix, with dead units' (std at most
+    DEAD_STD) rows and columns zeroed.
     """
     if phase not in (PRE, POST):
         raise ValueError(f"phase must be {PRE!r} or {POST!r}")
     _check_same_arch(model_a, model_b)
-    nb = dataset.num_batches(batch_size, drop_last=True)
-    if nb < 2:
+    if dataset.num_batches(batch_size, drop_last=True) < 2:
         raise ValueError("activation statistics need at least two equal-size batches")
     bids = [bid for bid, _ in model_a.boundary_map]
     taps = [(bid, phase) for bid in bids]
-    acc = {bid: None for bid in bids}
+    acc = {bid: (Moments(), Moments(), Moments()) for bid in bids}  # a, b, a x b
     for xb, _ in dataset.batches(batch_size, shuffle=False, drop_last=True):
         _, ta = forward(model_a, xb, taps=taps)
         _, tb = forward(model_b, xb, taps=taps)
@@ -240,40 +240,27 @@ def streaming_activation_stats(model_a, model_b, dataset, batch_size=256,
             if xa.ndim == 4:
                 xa = xa.mean(axis=(2, 3))
                 xv = xv.mean(axis=(2, 3))
-            n = xa.shape[0]
-            bid = tap_a.boundary_id
-            if acc[bid] is None:
-                ca, cb = xa.shape[1], xv.shape[1]
-                acc[bid] = [np.zeros(ca), np.zeros(ca), np.zeros(cb),
-                            np.zeros(cb), np.zeros((ca, cb))]
-            sa, saa, sb, sbb, sab = acc[bid]
-            sa += xa.mean(axis=0)
-            saa += (xa * xa).mean(axis=0)
-            sb += xv.mean(axis=0)
-            sbb += (xv * xv).mean(axis=0)
-            sab += xa.T @ xv / n
+            ma, mb, mab = acc[tap_a.boundary_id]
+            ma.add(xa)
+            mb.add(xv)
+            mab.add(xa, xv)
 
     out = {}
     for bid in bids:
-        sa, saa, sb, sbb, sab = acc[bid]
-        ex, exx = sa / nb, saa / nb
-        ey, eyy = sb / nb, sbb / nb
-        exy = sab / nb
-        var_a = np.maximum(exx - ex * ex, 0.0)
-        var_b = np.maximum(eyy - ey * ey, 0.0)
-        std_a, std_b = np.sqrt(var_a), np.sqrt(var_b)
-        dead_a, dead_b = std_a <= 1e-9, std_b <= 1e-9
+        ma, mb, mab = acc[bid]
+        std_a, std_b = ma.std, mb.std
+        dead_a, dead_b = std_a <= DEAD_STD, std_b <= DEAD_STD
         if dead_a.any() or dead_b.any():
             warnings.warn(
                 f"{bid}: {int(dead_a.sum())}+{int(dead_b.sum())} units with "
                 "zero variance excluded from correlation matching")
-        denom = np.outer(std_a, std_b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            corr = (exy - np.outer(ex, ey)) / denom
+            corr = mab.cov / np.outer(std_a, std_b)
         corr[dead_a, :] = 0.0
         corr[:, dead_b] = 0.0
-        out[bid] = {"corr": corr, "mean_a": ex, "std_a": std_a, "mean_b": ey,
-                    "std_b": std_b, "dead_a": dead_a, "dead_b": dead_b}
+        out[bid] = {"corr": corr, "mean_a": ma.mean, "std_a": std_a,
+                    "mean_b": mb.mean, "std_b": std_b, "dead_a": dead_a,
+                    "dead_b": dead_b}
     return out
 
 

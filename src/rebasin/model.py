@@ -143,6 +143,25 @@ _NAME_PREFIX = {
 }
 
 
+def layer_tensors(spec):
+    """The tensors a layer owns, in storage order: {name: (shape, initial value)}."""
+    n, c = spec.name, spec.channels
+    if spec.kind in WEIGHT_KINDS:
+        k = () if spec.kind == "dense" else (spec.kernel, spec.kernel)
+        out = {f"{n}.w": ((spec.n_out, spec.n_in) + k, 0.0)}
+        if spec.has_bias:
+            out[f"{n}.b"] = ((spec.n_out,), 0.0)
+        return out
+    if spec.kind == "channel_affine":
+        return {f"{n}.scale": ((c,), 1.0), f"{n}.shift": ((c,), 0.0)}
+    out = {}
+    if spec.kind in ("batchnorm", "layernorm") and spec.affine:
+        out = {f"{n}.gamma": ((c,), 1.0), f"{n}.beta": ((c,), 0.0)}
+    if spec.kind == "batchnorm":
+        out.update({f"{n}.running_mean": ((c,), 0.0), f"{n}.running_var": ((c,), 1.0)})
+    return out
+
+
 def build_model(descriptor):
     """Build a zero-initialized ModelGraph from a JSON-style descriptor.
 
@@ -266,31 +285,8 @@ def build_model(descriptor):
             specs[ni].boundary = bid
         boundary_map.append((bid, specs[wi].n_out))
 
-    params = {}
-    for s in specs:
-        if s.kind == "dense":
-            params[f"{s.name}.w"] = np.zeros((s.n_out, s.n_in), dtype=np.float32)
-            if s.has_bias:
-                params[f"{s.name}.b"] = np.zeros(s.n_out, dtype=np.float32)
-        elif s.kind == "conv2d":
-            params[f"{s.name}.w"] = np.zeros(
-                (s.n_out, s.n_in, s.kernel, s.kernel), dtype=np.float32)
-            if s.has_bias:
-                params[f"{s.name}.b"] = np.zeros(s.n_out, dtype=np.float32)
-        elif s.kind == "batchnorm":
-            if s.affine:
-                params[f"{s.name}.gamma"] = np.ones(s.channels, dtype=np.float32)
-                params[f"{s.name}.beta"] = np.zeros(s.channels, dtype=np.float32)
-            params[f"{s.name}.running_mean"] = np.zeros(s.channels, dtype=np.float32)
-            params[f"{s.name}.running_var"] = np.ones(s.channels, dtype=np.float32)
-        elif s.kind == "layernorm":
-            if s.affine:
-                params[f"{s.name}.gamma"] = np.ones(s.channels, dtype=np.float32)
-                params[f"{s.name}.beta"] = np.zeros(s.channels, dtype=np.float32)
-        elif s.kind == "channel_affine":
-            params[f"{s.name}.scale"] = np.ones(s.channels, dtype=np.float32)
-            params[f"{s.name}.shift"] = np.zeros(s.channels, dtype=np.float32)
-
+    params = {k: np.full(shape, fill, dtype=np.float32)
+              for s in specs for k, (shape, fill) in layer_tensors(s).items()}
     return ModelGraph(layers=specs, params=params, boundary_map=boundary_map,
                       input_shape=input_shape,
                       meta={"arch": _copy.deepcopy(descriptor)})
@@ -321,6 +317,8 @@ def propagate_shapes(layers, input_shape):
         elif s.kind in NORM_KINDS:
             if s.channels != cur[0]:
                 raise BuildError(f"{s.name}: channels {s.channels} != input {cur[0]}")
+        elif s.kind != "relu":
+            raise BuildError(f"{s.name}: unknown layer kind {s.kind!r}")
         shapes.append(cur)
     return shapes
 

@@ -2,7 +2,9 @@
 
 Every op comes in a forward flavor and a hand-derived backward flavor.
 Ops never force a dtype: float32 pipelines stay float32, while float64
-inputs (used by gradient checks) propagate as float64.
+inputs (used by gradient checks) propagate as float64. Moments is the
+streaming mean/variance accumulator of the statistics passes, and DEAD_STD
+the dead-unit rule that repair and matching share.
 """
 import numpy as np
 
@@ -243,3 +245,51 @@ def softmax_cross_entropy(logits, labels):
 
 def accuracy(logits, labels):
     return float((logits.argmax(axis=1) == labels).mean())
+
+
+# ---------------------------------------------------------------- streaming moments
+
+DEAD_STD = 1e-8   # a unit whose measured std is at most this counts as dead
+
+
+class Moments:
+    """Row count, column means and centred co-moment of a stream of row
+    batches, in float64, merged by Chan, Golub and LeVeque's pairwise update.
+
+    add(x) tracks each column's variance (a 1-D x is one column); add(x, y)
+    tracks the covariance of every column of x with every column of y.
+    """
+
+    def __init__(self):
+        self.n, self.mean, self.mean_y, self.m2 = 0, 0.0, 0.0, 0.0
+
+    def add(self, x, y=None):
+        x = np.asarray(x, dtype=np.float64)
+        k, mx = len(x), x.mean(axis=0)
+        dx = x - mx
+        if y is None:
+            my = mx
+            if x.ndim == 1:   # numpy sums a 1-D array pairwise, as a long column needs
+                m2 = np.square(dx, out=dx).sum()
+            else:
+                m2 = np.einsum("ij,ij->j", dx, dx)
+        else:
+            y = np.asarray(y, dtype=np.float64)
+            my = y.mean(axis=0)
+            m2 = dx.T @ (y - my)
+        n = self.n + k
+        ex, ey = mx - self.mean, my - self.mean_y
+        shift = ex * ey if y is None else np.outer(ex, ey)
+        self.m2 = self.m2 + m2 + shift * (self.n * k / n)
+        self.mean = self.mean + ex * (k / n)
+        self.mean_y = self.mean_y + ey * (k / n)
+        self.n = n
+
+    @property
+    def cov(self):
+        """Population (co)variance: per column after add(x), a matrix after add(x, y)."""
+        return self.m2 / self.n
+
+    @property
+    def std(self):
+        return np.sqrt(self.cov)

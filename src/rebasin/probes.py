@@ -5,11 +5,15 @@ retrain_probe clocks how many mini-batches a model needs to hit a train
 accuracy target. Every probe leaves its model untouched.
 """
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import POST, PRE, forward, stat_key, wiring
+from .ops import Moments
+from .prune import _diag_fisher, prunable_keys
+from .train import evaluate, loss_and_grads
 
 PROBE_COLUMNS = ("pre_scale", "pre_std", "post_scale", "post_std",
                  "zero_frac", "weight_scale")
@@ -69,46 +73,39 @@ def channel_probe(model, dataset, batch_size=256, max_batches=None,
     """
     wir = wiring(model)
     taps = [(b.bid, ph) for b in wir.values() for ph in (PRE, POST)]
-    acc = {bid: np.zeros(6, dtype=np.float64) for bid in wir}  # per-phase sums
+    abs_sums = {tap: 0.0 for tap in taps}
+    moments = {tap: Moments() for tap in taps}
     zeros = {bid: 0 for bid in wir}
-    counts = {bid: 0 for bid in wir}
     batch_count = 0
-    for b, (xb, _) in enumerate(dataset.batches(batch_size, shuffle=False,
-                                                drop_last=True)):
-        if max_batches is not None and b >= max_batches:
-            break
+    for xb, _ in itertools.islice(
+            dataset.batches(batch_size, shuffle=False, drop_last=True), max_batches):
         _, tap_list = forward(model, xb, taps=taps, mode="eval")
         for tap in tap_list:
-            v = tap.value.astype(np.float64).reshape(-1)
-            bid = tap.boundary_id
-            off = 0 if tap.phase == PRE else 3
-            acc[bid][off + 0] += np.abs(v).sum()
-            acc[bid][off + 1] += v.sum()
-            acc[bid][off + 2] += (v * v).sum()
+            v = tap.value.astype(np.float64).reshape(-1)  # one pooled column
+            key = (tap.boundary_id, tap.phase)
+            abs_sums[key] += np.abs(v).sum()
+            moments[key].add(v)
             if tap.phase == POST:
-                zeros[bid] += int((v == 0).sum())
-            else:
-                counts[bid] += v.size
+                zeros[tap.boundary_id] += int((v == 0).sum())
         batch_count += 1
     if batch_count == 0:
         raise ValueError("dataset smaller than one batch")
 
     rows = {}
     for bid, bnd in wir.items():
-        n = counts[bid]
-        s = acc[bid]
+        pre, post = (bid, PRE), (bid, POST)
+        n = moments[pre].n
         w = model.params[f"{model.layers[bnd.producer].name}.w"]
         rows[bid] = {
-            "pre_scale": s[0] / n,
-            "pre_std": float(np.sqrt(max(s[2] / n - (s[1] / n) ** 2, 0.0))),
-            "post_scale": s[3] / n,
-            "post_std": float(np.sqrt(max(s[5] / n - (s[4] / n) ** 2, 0.0))),
+            "pre_scale": abs_sums[pre] / n,
+            "pre_std": float(moments[pre].std),
+            "post_scale": abs_sums[post] / n,
+            "post_std": float(moments[post].std),
             "zero_frac": zeros[bid] / n,
             "weight_scale": float(np.abs(w.astype(np.float64)).mean()),
         }
     fisher = {}
     if with_fisher:
-        from .prune import _diag_fisher, prunable_keys  # avoids an import cycle
         raw = _diag_fisher(model, prunable_keys(model), dataset, batch_size,
                            max_batches)
         fisher = {k: float(v.mean()) for k, v in raw.items()}
@@ -130,7 +127,6 @@ def retrain_probe(model, dataset, target_train_acc=0.9, lr=0.01, cap_epochs=5,
     before any step, so an already-converged model reports 0). Hitting the
     epoch cap first returns the total step count with capped set.
     """
-    from .train import evaluate, loss_and_grads  # circular at module load
     cur = model.copy()
     _, acc = evaluate(cur, dataset, batch_size=max(batch_size, 256))
     curve = [(0, acc)]

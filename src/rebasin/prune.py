@@ -6,6 +6,7 @@ them, globally or per tensor) and survivors keep their bits. Biases and norm
 parameters are never pruned.
 """
 import base64
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -93,10 +94,8 @@ def _diag_fisher(model, keys, dataset, batch_size, max_batches):
             acc[key] += sq
 
     seen = 0
-    for b, (xb, yb) in enumerate(dataset.batches(batch_size, shuffle=False,
-                                                 drop_last=False)):
-        if max_batches is not None and b >= max_batches:
-            break
+    for xb, yb in itertools.islice(
+            dataset.batches(batch_size, shuffle=False, drop_last=False), max_batches):
         # batchnorm on running statistics keeps the samples independent
         logits, caches = _forward_cached(model, xb, update_stats=False,
                                          bn_batch_stats=False)

@@ -7,6 +7,7 @@ spatial positions.  All statistics mathematics runs in float64; corrections
 are stored as float32 model parameters.
 """
 import csv
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import PRE, LayerSpec, _check_same_arch, forward, wiring
+from .ops import DEAD_STD, Moments
 from .train import evaluate
 
 RENORM_MODES = ("none", "reset", "repair", "rescale", "rescale_avg", "reshift")
-_DEAD_STD = 1e-8   # measured std below this counts as a dead channel
 _DEAD_EPS = 1e-5   # substituted in place of a dead channel's std
 
 
@@ -122,39 +123,30 @@ def measure_stats(model, dataset, batch_size=256, boundaries=None, phase=PRE,
                   max_batches=None):
     """Per-channel mean and std of boundary activations over the dataset.
 
-    One pass, deterministic batch order, equal-size batches (remainder
-    dropped); per-batch means accumulate in float64, so the result equals a
-    two-pass computation over the same batches.
+    One pass in deterministic batch order over equal-size batches (remainder
+    dropped); conv maps count every spatial position as a sample. Batches
+    merge through a float64 Moments accumulator, so the result matches a
+    two-pass computation over the same batches to rounding.
     """
     bids = list(boundaries) if boundaries is not None else \
         [bid for bid, _ in model.boundary_map]
     taps = [(bid, phase) for bid in bids]
-    sums = {bid: None for bid in bids}
+    moments = {bid: Moments() for bid in bids}
     nb = 0
-    for xb, _ in dataset.batches(batch_size, shuffle=False, drop_last=True):
-        if max_batches is not None and nb >= max_batches:
-            break
+    for xb, _ in itertools.islice(
+            dataset.batches(batch_size, shuffle=False, drop_last=True), max_batches):
         _, tap_vals = forward(model, xb, taps=taps)
         for tap in tap_vals:
-            v = tap.value.astype(np.float64)
+            v = tap.value
             if v.ndim == 4:
                 v = v.transpose(0, 2, 3, 1).reshape(-1, v.shape[1])
-            if sums[tap.boundary_id] is None:
-                c = v.shape[1]
-                sums[tap.boundary_id] = [np.zeros(c), np.zeros(c)]
-            s = sums[tap.boundary_id]
-            s[0] += v.mean(axis=0)
-            s[1] += (v * v).mean(axis=0)
+            moments[tap.boundary_id].add(v)
         nb += 1
     if nb == 0:
         raise ValueError("dataset smaller than one batch")
-    means, stds = {}, {}
-    for bid in bids:
-        ex = sums[bid][0] / nb
-        exx = sums[bid][1] / nb
-        means[bid] = ex
-        stds[bid] = np.sqrt(np.maximum(exx - ex * ex, 0.0))
-    return ChannelStats(means=means, stds=stds, batch_count=nb, phase=phase)
+    return ChannelStats(means={bid: moments[bid].mean for bid in bids},
+                        stds={bid: moments[bid].std for bid in bids},
+                        batch_count=nb, phase=phase)
 
 
 def mix_stats(stats_a, stats_b, lam):
@@ -211,9 +203,8 @@ def reset_bn(model, dataset, batch_size=256, max_batches=None):
         out.params[f"{name}.running_var"][:] = 1.0
     sink = {}
     nb = 0
-    for xb, _ in dataset.batches(batch_size, shuffle=False, drop_last=True):
-        if max_batches is not None and nb >= max_batches:
-            break
+    for xb, _ in itertools.islice(
+            dataset.batches(batch_size, shuffle=False, drop_last=True), max_batches):
         forward(out, xb, mode="train", update_stats=False, collect_norm_stats=sink)
         nb += 1
     if nb == 0:
@@ -246,7 +237,7 @@ def _insert_after_pre_tap(model, bid, spec, tensors):
 
 
 def _correction(mode, mu, sigma, goal_mean, goal_std):
-    dead = sigma < _DEAD_STD
+    dead = sigma <= DEAD_STD
     if dead.any() and mode != "reshift":
         warnings.warn(f"{int(dead.sum())} dead channels (zero std); "
                       f"substituting eps={_DEAD_EPS}")

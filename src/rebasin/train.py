@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ops
-from .model import WEIGHT_KINDS, _backward, _forward_cached, stat_key
+from .model import WEIGHT_KINDS, _backward, _forward_cached, forward, stat_key
 
 _SCHEDULES = ("constant", "step", "cosine")
 _INIT_SCHEMES = ("kaiming_uniform", "kaiming_normal")
@@ -163,7 +163,6 @@ def loss_and_grads(model, x, y, update_stats=False):
 def evaluate(model, dataset, batch_size=512):
     """Eval-mode mean loss and accuracy over the whole dataset."""
     losses, hits, total = 0.0, 0, 0
-    from .model import forward  # local import keeps module load order simple
     for xb, yb in dataset.batches(batch_size, shuffle=False, drop_last=False):
         logits = forward(model, xb, mode="eval")
         loss, _ = ops.softmax_cross_entropy(logits, yb)

@@ -70,6 +70,55 @@ def test_trailing_garbage_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def _short_bias(m):
+    m.params["dense0.b"] = np.zeros(1, dtype=np.float32)
+
+
+def _tracked_stats_of_wrong_width(m):
+    m.params["stats.b0.mean"] = np.zeros(4, dtype=np.float32)
+
+
+def _boundary_map_disagrees(m):
+    m.boundary_map = [("b0", 4), ("b1", 4)]
+
+
+def _fan_in_disagrees(m):
+    m.layers[2].n_in = 7
+
+
+def _unknown_kind(m):
+    m.layers[1].kind = "gelu"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_short_bias, r"dense0\.b has shape \(1,\)"),
+    (lambda m: m.params.pop("dense1.w"), r"missing tensors \['dense1\.w'\]"),
+    (lambda m: m.params.update({"dense9.w": m.params["dense0.w"]}), "belongs to no layer"),
+    (_tracked_stats_of_wrong_width, r"stats\.b0\.mean has shape \(4,\)"),
+    (_boundary_map_disagrees, "boundary map"),
+    (_fan_in_disagrees, "do not compose"),
+    (_unknown_kind, "unknown layer kind"),
+], ids=["short_bias", "missing_tensor", "stray_tensor", "tracked_stats_width",
+        "boundary_map", "fan_in", "unknown_kind"])
+def test_load_rejects_tensors_that_disagree_with_layers(tmp_path, corrupt, message):
+    m = seed_params(build_model(mlp_descriptor(6, [5, 4], 3)), seed=10)
+    corrupt(m)
+    path = tmp_path / "m.rbnc"
+    save_checkpoint(m, path)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_load_accepts_tracked_boundary_stats(tmp_path):
+    m = seed_params(build_model(mlp_descriptor(6, [5, 4], 3)), seed=11)
+    for bid, n in m.boundary_map:
+        m.params[f"stats.{bid}.mean"] = np.zeros(n, dtype=np.float32)
+        m.params[f"stats.{bid}.var"] = np.ones(n, dtype=np.float32)
+    path = tmp_path / "m.rbnc"
+    save_checkpoint(m, path)
+    assert models_bit_equal(load_checkpoint(path), m)
+
+
 def test_save_rejects_non_float32(tmp_path):
     m = seed_params(build_model(mlp_descriptor(4, [3], 2)), seed=8)
     m.params["dense0.w"] = m.params["dense0.w"].astype(np.float64)

@@ -2,12 +2,14 @@
 contract: 0 success, 2 validation/config trouble, 3 numerical failure."""
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from rebasin.checkpoint import load_checkpoint, save_checkpoint
-from rebasin.cli import main
+from rebasin.cli import _new_run_dir, main
 from rebasin.data import synth_blobs
 from rebasin.model import build_model, mlp_descriptor
 from rebasin.train import TrainConfig, init_params, train
@@ -134,6 +136,45 @@ def test_missing_checkpoint_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, checkpoints=[str(tmp_path / "absent.rbnc"),
                                            str(tmp_path / "absent.rbnc")])
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+
+
+def test_inconsistent_checkpoint_exits_2(tmp_path, ckpts):
+    m = load_checkpoint(ckpts[0])
+    m.params["dense0.b"] = m.params["dense0.b"][:1]
+    bad = str(tmp_path / "bad.rbnc")
+    save_checkpoint(m, bad)
+    cfg = write_cfg(tmp_path, checkpoint=bad, dataset=BLOBS)
+    assert main(["probe", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+
+
+def test_concurrent_runs_claim_distinct_run_dirs(tmp_path):
+    workers, per_worker = 8, 5
+    start = threading.Barrier(workers)
+    claimed, errors = [], []
+
+    def claim():
+        try:
+            start.wait(timeout=10)
+            for _ in range(per_worker):
+                claimed.append(_new_run_dir(str(tmp_path / "runs"), "train"))
+        except Exception as e:  # reported through the assertion below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=claim) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(claimed) == len(set(claimed)) == workers * per_worker
+    assert run_dirs(tmp_path / "runs", "train") == [
+        f"train-{i:03d}" for i in range(workers * per_worker)]
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -320,6 +361,13 @@ def test_probe_outputs_csv_and_json(tmp_path, ckpts):
     doc = json.loads((run / "probe.json").read_text())
     assert "b0" in doc["rows"]
     assert doc["fisher"]["dense0.w"] >= 0
+
+
+@pytest.mark.parametrize("max_batches", [1.5, -1])
+def test_probe_rejects_a_batch_cap_that_is_no_count(tmp_path, ckpts, max_batches):
+    cfg = write_cfg(tmp_path, checkpoint=ckpts[0], dataset=BLOBS,
+                    max_batches=max_batches)
+    assert main(["probe", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
 
 
 def test_lap_solves_config_matrix(tmp_path):

@@ -21,7 +21,8 @@ from rebasin.match import (
 )
 from rebasin.model import build_model, forward, mlp_descriptor
 from rebasin.probes import l2_distance
-from helpers import models_bit_equal, rand_batch, seed_params, small_cnn_desc
+from rebasin.renorm import measure_stats, repair
+from helpers import large_mean, models_bit_equal, rand_batch, seed_params, small_cnn_desc
 
 
 def mlp(seed, widths=(6, 5), in_dim=7, classes=3, norm=None):
@@ -195,24 +196,27 @@ def test_activation_match_self_identity():
 
 
 def test_streaming_correlation_matches_two_pass_oracle():
-    a = mlp(26)
-    b = mlp(27)
     ds = _dataset_for(7, seed=2, n=192)
-    stats = streaming_activation_stats(a, b, ds, batch_size=64)
-    for bid, _ in a.boundary_map:
-        acts_a, acts_b = [], []
-        for xb, _ in ds.batches(64, shuffle=False, drop_last=True):
-            _, ta = forward(a, xb, taps=[(bid, "post_activation")])
-            _, tb = forward(b, xb, taps=[(bid, "post_activation")])
-            acts_a.append(ta[0].value.astype(np.float64))
-            acts_b.append(tb[0].value.astype(np.float64))
-        xa = np.concatenate(acts_a)
-        xb_ = np.concatenate(acts_b)
-        ca = xa.shape[1]
-        full = np.corrcoef(xa.T, xb_.T)[:ca, ca:]
-        np.testing.assert_allclose(stats[bid]["corr"], full, atol=1e-10)
-        np.testing.assert_allclose(stats[bid]["mean_a"], xa.mean(axis=0), atol=1e-10)
-        np.testing.assert_allclose(stats[bid]["std_a"], xa.std(axis=0), atol=1e-10)
+    for a, b in ((mlp(26), mlp(27)), (large_mean(mlp(26)), large_mean(mlp(27)))):
+        stats = streaming_activation_stats(a, b, ds, batch_size=64)
+        for bid, _ in a.boundary_map:
+            acts_a, acts_b = [], []
+            for xb, _ in ds.batches(64, shuffle=False, drop_last=True):
+                _, ta = forward(a, xb, taps=[(bid, "post_activation")])
+                _, tb = forward(b, xb, taps=[(bid, "post_activation")])
+                acts_a.append(ta[0].value.astype(np.float64))
+                acts_b.append(tb[0].value.astype(np.float64))
+            xa = np.concatenate(acts_a)
+            xb_ = np.concatenate(acts_b)
+            ca = xa.shape[1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                full = np.corrcoef(xa.T, xb_.T)[:ca, ca:]
+            # units that never move (relu held at 0) have their rows/columns zeroed
+            full[xa.std(axis=0) == 0, :] = 0.0
+            full[:, xb_.std(axis=0) == 0] = 0.0
+            np.testing.assert_allclose(stats[bid]["corr"], full, atol=1e-10)
+            np.testing.assert_allclose(stats[bid]["mean_a"], xa.mean(axis=0), atol=1e-10)
+            np.testing.assert_allclose(stats[bid]["std_a"], xa.std(axis=0), atol=1e-10)
 
 
 def test_activation_match_dead_unit_gets_zero_correlation():
@@ -228,6 +232,20 @@ def test_activation_match_dead_unit_gets_zero_correlation():
     assert np.all(stats["b0"]["corr"][:, 2] == 0.0)
     perm, _ = activation_match(a, b, ds, batch_size=64)
     assert sorted(perm.perms["b0"]) == list(range(5))
+
+
+def test_matching_and_repair_share_the_dead_unit_rule():
+    # a unit whose spread is rounding noise (pre std ~4e-9, post ~2e-9)
+    a, b = mlp(28, widths=(5,)), mlp(29, widths=(5,))
+    a.params["dense0.w"][2] = 2e-9
+    a.params["dense0.b"][2] = 0.0
+    ds = _dataset_for(7, seed=3)
+    with pytest.warns(UserWarning, match="zero variance"):
+        stats = streaming_activation_stats(a, b, ds, batch_size=64)
+    assert stats["b0"]["dead_a"][2]
+    assert np.all(stats["b0"]["corr"][2, :] == 0.0)
+    with pytest.warns(UserWarning, match="dead channels"):
+        repair(a, measure_stats(a, ds, batch_size=64), ds, batch_size=64)
 
 
 def test_activation_match_needs_two_batches():

@@ -10,7 +10,7 @@ from rebasin.model import build_model, forward, mlp_descriptor, wiring
 from rebasin.probes import LayerProbe, channel_probe, l2_distance, retrain_probe
 from rebasin.train import TrainConfig, evaluate, init_params, train
 
-from helpers import models_bit_equal, seed_params, small_cnn_desc
+from helpers import large_mean, models_bit_equal, seed_params, small_cnn_desc
 
 
 def blobs(seed=3, n=256, dims=8, classes=4, spread=0.5, **kw):
@@ -82,30 +82,31 @@ def test_channel_probe_identity_layer_keeps_unit_std():
 
 def test_channel_probe_matches_two_pass_oracle():
     from rebasin.model import POST, PRE
-    m = seed_params(build_model(small_cnn_desc(norm="batchnorm")), 5)
+    plain = seed_params(build_model(small_cnn_desc(norm="batchnorm")), 5)
     ds = blobs(n=96, dims=2 * 8 * 8, image_shape=(2, 8, 8))
-    probe = channel_probe(m, ds, batch_size=32, with_fisher=False)
+    for m in (plain, large_mean(plain.copy())):
+        probe = channel_probe(m, ds, batch_size=32, with_fisher=False)
 
-    wir = wiring(m)
-    taps = [(b.bid, ph) for b in wir.values() for ph in (PRE, POST)]
-    chunks = {t: [] for t in taps}
-    for lo in range(0, 96, 32):
-        _, tl = forward(m, ds.inputs[lo:lo + 32], taps=taps)
-        for tap in tl:
-            chunks[(tap.boundary_id, tap.phase)].append(
-                tap.value.astype(np.float64).reshape(-1))
-    for bid, b in wir.items():
-        pre = np.concatenate(chunks[(bid, PRE)])
-        post = np.concatenate(chunks[(bid, POST)])
-        row = probe.rows[bid]
-        assert abs(row["pre_scale"] - np.abs(pre).mean()) <= 1e-10
-        assert abs(row["pre_std"] - pre.std()) <= 1e-10
-        assert abs(row["post_scale"] - np.abs(post).mean()) <= 1e-10
-        assert abs(row["post_std"] - post.std()) <= 1e-10
-        assert abs(row["zero_frac"] - (post == 0).mean()) <= 1e-12
-        w = m.params[f"{m.layers[b.producer].name}.w"]
-        assert abs(row["weight_scale"] -
-                   np.abs(w.astype(np.float64)).mean()) <= 1e-12
+        wir = wiring(m)
+        taps = [(b.bid, ph) for b in wir.values() for ph in (PRE, POST)]
+        chunks = {t: [] for t in taps}
+        for lo in range(0, 96, 32):
+            _, tl = forward(m, ds.inputs[lo:lo + 32], taps=taps)
+            for tap in tl:
+                chunks[(tap.boundary_id, tap.phase)].append(
+                    tap.value.astype(np.float64).reshape(-1))
+        for bid, b in wir.items():
+            pre = np.concatenate(chunks[(bid, PRE)])
+            post = np.concatenate(chunks[(bid, POST)])
+            row = probe.rows[bid]
+            assert abs(row["pre_scale"] - np.abs(pre).mean()) <= 1e-10
+            assert abs(row["pre_std"] - pre.std()) <= 1e-10
+            assert abs(row["post_scale"] - np.abs(post).mean()) <= 1e-10
+            assert abs(row["post_std"] - post.std()) <= 1e-10
+            assert abs(row["zero_frac"] - (post == 0).mean()) <= 1e-12
+            w = m.params[f"{m.layers[b.producer].name}.w"]
+            assert abs(row["weight_scale"] -
+                       np.abs(w.astype(np.float64)).mean()) <= 1e-12
 
 
 def test_channel_probe_is_side_effect_free_and_deterministic():

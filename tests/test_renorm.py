@@ -21,7 +21,7 @@ from rebasin.renorm import (
     tracked_stats,
 )
 from rebasin.train import TrainConfig, evaluate, init_params, train
-from helpers import models_bit_equal, rand_batch, seed_params, small_cnn_desc
+from helpers import large_mean, models_bit_equal, rand_batch, seed_params, small_cnn_desc
 
 _cache = {}
 
@@ -101,18 +101,18 @@ def test_interpolate_rejects_a_different_head_width():
 # ---------------------------------------------------------------- statistics
 
 def test_measured_stats_match_two_pass_oracle():
-    m = random_mlp(9)
     ds = blobs(seed=1, n=256)
-    stats = measure_stats(m, ds, batch_size=64)
-    for bid, _ in m.boundary_map:
-        acts = []
-        for xb, _ in ds.batches(64, shuffle=False, drop_last=True):
-            _, taps = forward(m, xb, taps=[(bid, PRE)])
-            acts.append(taps[0].value.astype(np.float64))
-        full = np.concatenate(acts)
-        np.testing.assert_allclose(stats.means[bid], full.mean(0), atol=1e-10)
-        np.testing.assert_allclose(stats.stds[bid], full.std(0), atol=1e-10)
-    assert stats.batch_count == 4 and stats.phase == PRE
+    for m in (random_mlp(9), large_mean(random_mlp(9))):
+        stats = measure_stats(m, ds, batch_size=64)
+        for bid, _ in m.boundary_map:
+            acts = []
+            for xb, _ in ds.batches(64, shuffle=False, drop_last=True):
+                _, taps = forward(m, xb, taps=[(bid, PRE)])
+                acts.append(taps[0].value.astype(np.float64))
+            full = np.concatenate(acts)
+            np.testing.assert_allclose(stats.means[bid], full.mean(0), atol=1e-10)
+            np.testing.assert_allclose(stats.stds[bid], full.std(0), atol=1e-10)
+        assert stats.batch_count == 4 and stats.phase == PRE
 
 
 def test_measured_conv_stats_are_per_channel():
