@@ -176,7 +176,8 @@ def _cmd_match(cfg, run):
     _write_json(os.path.join(run, "report.json"),
                 {"objective": report.objective, "sweeps": report.sweeps,
                  "converged": report.converged,
-                 "residual_l2": report.residual_l2})
+                 "residual_l2": report.residual_l2,
+                 "solves": report.solves, "skipped": report.skipped})
     save_checkpoint(apply_perm(b, spec), os.path.join(run, "aligned.rbnc"))
     return EXIT_OK
 

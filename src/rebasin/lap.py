@@ -1,14 +1,26 @@
-"""Exact linear assignment via the shortest-augmenting-path method, O(n^3),
-with deterministic tie-breaking.
+"""Exact linear assignment by the Jonker–Volgenant method, with deterministic
+tie-breaking.
+
+The solver (Jonker & Volgenant 1987) finds optimal column dual potentials v
+in three phases: column reduction with reduction transfer, two passes of
+augmenting row reduction, and shortest augmenting paths for the rows still
+free. Each phase works on whole rows of reduced costs ``cost[i] - v`` at once.
 
 Among all optimal assignments the lexicographically smallest permutation is
-returned, found by restricting to tight edges of the optimal dual potentials
-and extracting the lex-minimal perfect matching.
+returned. By complementary slackness every optimal assignment lies inside the
+tight edges of any optimal dual, so the result is found by restricting to
+those edges and extracting the lex-minimal perfect matching, and it does not
+depend on which optimal dual the solver ended at. That is what lets a caller
+that solves a slowly changing sequence of costs start each solve from the
+previous duals (`_warm_start`).
 """
-import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+# the ufunc reduce skips ndarray.min's Python wrapper; the solver calls it
+# once or twice per search step
+_min = np.minimum.reduce
 
 
 @dataclass
@@ -18,91 +30,196 @@ class Assignment:
     sense: str
 
 
-def _shortest_path_solve(cost):
-    """Returns (col_to_row, u, v) for the minimize sense."""
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.full(n + 1, -1, dtype=np.int64)   # p[j] = row matched to column j
-    way = np.full(n + 1, -1, dtype=np.int64)
+class _WarmCost(np.ndarray):
+    """A cost matrix carrying column duals: `solve_lap` starts from `duals`
+    (None for a cold start) and replaces them with the duals it ends at."""
+    duals = None
 
-    for i in range(n):
-        p[n] = i
-        j0 = n
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            cur = cost[i0, :n] - u[i0] - v[:n]
-            free = ~used[:n]
-            better = free & (cur < minv[:n])
-            minv[:n] = np.where(better, cur, minv[:n])
-            way[:n][better] = j0
-            cand = np.where(free, minv[:n], np.inf)
-            j1 = int(np.argmin(cand))
-            delta = cand[j1]
-            used_idx = np.flatnonzero(used)
-            u[p[used_idx]] += delta
-            v[used_idx] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if p[j0] == -1:
-                break
-        while j0 != n:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    return p[:n], u[:n], v[:n]
+
+def _warm_start(cost, duals):
+    """View of cost whose `solve_lap` starts from, and updates, `duals`.
+
+    The duals are in the sense the solver minimizes, so one sequence of warm
+    solves must keep one sense.
+    """
+    warm = np.asarray(cost).view(_WarmCost)
+    warm.duals = duals
+    return warm
+
+
+def _column_reduction(cost):
+    """Cold start: v is each column's minimum, each row takes the first
+    column it is the minimum of, and each assigned row then lowers its
+    column's potential until its second-best column ties (reduction
+    transfer). Returns (x, y, v): x[i] is row i's column and y[j] column j's
+    row, -1 while unassigned."""
+    n = cost.shape[0]
+    rows = cost.argmin(axis=0)
+    v = cost[rows, np.arange(n)]
+    owners, cols = np.unique(rows, return_index=True)
+    x = np.full(n, -1, dtype=np.int64)
+    y = np.full(n, -1, dtype=np.int64)
+    x[owners] = cols
+    y[cols] = owners
+    if n > 1:
+        red = cost[owners] - v
+        red[np.arange(len(owners)), cols] = np.inf
+        # every other column only gets dearer, so each assigned column stays
+        # a row minimum of its owner
+        v[cols] -= red.min(axis=1)
+    return x, y, v
+
+
+def _augmenting_row_reduction(cost, free, x, y, v):
+    """One pass of augmenting row reduction over the free rows.
+
+    Each free row takes its cheapest reduced column j1 and lowers v[j1] until
+    its second-cheapest ties; a row displaced by a strict lowering is retried
+    at once, one displaced by a tie waits for the next pass. Returns the rows
+    left free.
+    """
+    n = cost.shape[0]
+    free = list(free)
+    still_free = []
+    # retries allowed on top of one step a row; Jonker and Volgenant allow
+    # k*n, which on rank-1 costs spends O(n^2) steps and frees few rows
+    budget = len(free) + n
+    k = steps = 0
+    while k < len(free):
+        i = free[k]
+        k += 1
+        steps += 1
+        red = cost[i] - v
+        j1 = red.argmin()
+        u1 = red[j1]
+        red[j1] = np.inf
+        j2 = red.argmin()
+        u2 = red[j2]
+        i0 = y[j1]
+        lowers = u1 < u2
+        if steps < budget:
+            if lowers:
+                v[j1] -= u2 - u1
+            elif i0 >= 0:
+                j1, i0 = j2, y[j2]
+            if i0 >= 0:
+                if lowers:
+                    k -= 1
+                    free[k] = i0
+                else:
+                    still_free.append(i0)
+        elif i0 >= 0:
+            still_free.append(i0)
+        if i0 >= 0:
+            x[i0] = -1
+        x[i] = j1
+        y[j1] = i
+    return still_free
+
+
+def _augment(cost, i, x, y, v):
+    """Assign free row i along a shortest augmenting path (Dijkstra on the
+    reduced costs cost - v), then lower v on the columns whose distance was
+    final so every assigned row keeps its column as a reduced-row minimum."""
+    n = cost.shape[0]
+    open_dist = cost[i] - v             # +inf once a column's distance is final
+    dist = np.full(n, np.inf)           # final distances
+    v_open = v.copy()                   # -inf on final columns, so they never relax
+    pred = np.full(n, i, dtype=np.int64)
+    while True:
+        mind = _min(open_dist)
+        todo = (open_dist == mind).nonzero()[0]
+        owners = y[todo]
+        if _min(owners) < 0:
+            end = todo[owners.argmin()]
+            break
+        dist[todo] = mind
+        open_dist[todo] = np.inf
+        v_open[todo] = -np.inf
+        # relax every open column through the owner of each new final column
+        for j, r in zip(todo, owners):
+            via = cost[r] - v_open
+            via += mind - (cost[r, j] - v[j])
+            better = via < open_dist
+            np.copyto(open_dist, via, where=better)
+            np.copyto(pred, r, where=better)
+    v += np.minimum(dist - mind, 0.0)
+    j = end
+    while True:
+        r = pred[j]
+        y[j] = r
+        x[r], j = j, x[r]
+        if r == i:
+            break
+
+
+def _jv_solve(cost, v=None):
+    """Returns (row_to_col, v) for the minimize sense, starting from the
+    column duals v when given (warm start) or from column reduction."""
+    n = cost.shape[0]
+    if v is None:
+        x, y, v = _column_reduction(cost)
+    else:
+        x = np.full(n, -1, dtype=np.int64)
+        y = np.full(n, -1, dtype=np.int64)
+        v = np.array(v, dtype=np.float64)
+    free = np.flatnonzero(x < 0)
+    if n > 1:
+        for _ in range(2):
+            free = _augmenting_row_reduction(cost, free, x, y, v)
+    for i in free:
+        _augment(cost, i, x, y, v)
+    return x, v
 
 
 def _lex_min_matching(tight, row_to_col):
     """Lexicographically smallest perfect matching inside a bipartite graph
-    that is known to contain one (row_to_col)."""
+    that is known to contain one (row_to_col).
+
+    Rows are fixed in order. Row i may take a tight column c below its current
+    one when the rows after i can rematch along an alternating path from c to
+    the column i frees; one breadth-first search per row, backwards from the
+    freed column over the rows after i, finds every such c at once, so the
+    whole pass costs at most O(n^3) boolean work and no recursion.
+    """
     n = len(row_to_col)
     match_row = row_to_col.copy()
-    match_col = np.full(n, -1, dtype=np.int64)
+    match_col = np.empty(n, dtype=np.int64)
     match_col[match_row] = np.arange(n)
-    locked = np.zeros(n, dtype=bool)
-    adj = [np.flatnonzero(tight[i]) for i in range(n)]
-
-    if n > 900:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n))
-
-    def augment(r, visited):
-        for c in adj[r]:
-            if locked[c] or visited[c]:
-                continue
-            visited[c] = True
-            if match_col[c] == -1 or augment(match_col[c], visited):
-                match_row[r] = c
-                match_col[c] = r
-                return True
-        return False
-
-    for i in range(n):
+    first_tight = tight.argmax(axis=1)
+    by_col = np.ascontiguousarray(tight.T)
+    nxt = np.empty(n, dtype=np.int64)   # column a row moves to when freed
+    for i in range(n - 1):
         cur = match_row[i]
-        for c in adj[i]:
-            if locked[c]:
-                continue
-            if c >= cur:
-                break  # current assignment is already the best available
-            # tentatively steal column c; its owner must rematch elsewhere
-            owner = match_col[c]
-            match_row[i] = c
-            match_col[c] = i
-            match_col[cur] = -1
-            match_row[owner] = -1
-            visited = np.zeros(n, dtype=bool)
-            visited[c] = True
-            if augment(owner, visited):
-                break
-            # roll back
-            match_row[i] = cur
-            match_col[cur] = i
-            match_row[owner] = c
-            match_col[c] = owner
-        locked[match_row[i]] = True
+        if first_tight[i] >= cur:
+            continue
+        adj = tight[i, :cur].nonzero()[0]
+        targets = adj[match_col[adj] > i]   # columns of rows before i are fixed
+        if targets.size == 0:
+            continue
+        reached = np.zeros(n, dtype=bool)
+        reached[cur] = True
+        movable = np.zeros(n, dtype=bool)
+        movable[i + 1:] = True
+        frontier = np.array([cur])
+        while frontier.size and not reached[targets[0]]:
+            sub = by_col[frontier]
+            rows = (sub.any(axis=0) & movable).nonzero()[0]
+            cols = match_row[rows]
+            nxt[cols] = frontier[sub[:, rows].argmax(axis=0)]
+            reached[cols] = True
+            movable[rows] = False
+            frontier = cols
+        hits = targets[reached[targets]]
+        if hits.size == 0:
+            continue
+        path = [int(hits[0])]
+        while path[-1] != cur:
+            path.append(int(nxt[path[-1]]))
+        path = np.asarray(path)
+        movers = np.concatenate(([i], match_col[path[:-1]]))
+        match_row[movers] = path
+        match_col[path] = movers
     return match_row
 
 
@@ -110,6 +227,7 @@ def solve_lap(cost, sense="minimize"):
     """Optimal assignment of rows to columns of a square cost matrix."""
     if sense not in ("minimize", "maximize"):
         raise ValueError(f"sense must be minimize or maximize, got {sense!r}")
+    warm = cost if isinstance(cost, _WarmCost) else None
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1] or cost.shape[0] == 0:
         raise ValueError(f"cost must be a nonempty square matrix, got {cost.shape}")
@@ -117,13 +235,18 @@ def solve_lap(cost, sense="minimize"):
         raise ValueError("cost matrix contains non-finite entries")
 
     work = cost if sense == "minimize" else -cost
-    col_to_row, u, v = _shortest_path_solve(work)
-    row_to_col = np.empty_like(col_to_row)
-    row_to_col[col_to_row] = np.arange(len(col_to_row))
-
     tol = 1e-9 * max(1.0, float(np.abs(work).max()))
-    tight = (work - u[:, None] - v[None, :]) <= tol
+    rows = np.arange(cost.shape[0])
+    row_to_col, v = _jv_solve(work, None if warm is None else warm.duals)
+    if warm is not None:
+        warm.duals = v
+    # u = each row's reduced minimum makes (u, v) feasible, and the solver
+    # leaves every row on a column attaining it, so its matching is tight
+    reduced = work - v
+    tight = reduced - reduced.min(axis=1, keepdims=True) <= tol
+    if not tight[rows, row_to_col].all():
+        raise ArithmeticError("assignment solver lost dual feasibility")
     perm = _lex_min_matching(tight, row_to_col)
 
-    objective = float(cost[np.arange(len(perm)), perm].sum())
+    objective = float(cost[rows, perm].sum())
     return Assignment(perm=perm, objective=objective, sense=sense)

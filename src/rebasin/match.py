@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lap import solve_lap
+from .lap import _warm_start, solve_lap
 from .model import POST, PRE, _check_same_arch, forward, wiring
 from .ops import DEAD_STD, Moments
 from .probes import l2_distance
@@ -37,6 +37,8 @@ class MatchReport:
     sweeps: int = 0
     converged: bool = False
     residual_l2: float = 0.0
+    solves: int = 0         # LAP solves run
+    skipped: int = 0        # boundary visits whose solve was known to be a no-op
 
 
 def identity_perm(model):
@@ -46,10 +48,6 @@ def identity_perm(model):
 def random_perm(model, seed=0):
     rng = np.random.default_rng(seed)
     return PermSpec(perms={bid: rng.permutation(n) for bid, n in model.boundary_map})
-
-
-def is_identity(spec):
-    return all(np.array_equal(v, np.arange(len(v))) for v in spec.perms.values())
 
 
 def _check_spec(model, spec):
@@ -126,16 +124,25 @@ def _feeder(wir, layer_idx):
     return None
 
 
-def _score_matrix(a, b, wir, bid, perms):
+def _neighbours(layers, wir, bid):
+    """Boundaries whose permutations enter bid's score matrix: the one feeding
+    its producer and the one its consumer produces."""
+    bnd = wir[bid]
+    return tuple(n for n in (_feeder(wir, bnd.producer),
+                             layers[bnd.consumer].boundary) if n is not None)
+
+
+def _score_matrix(layers, pa, pb, wir, bid, perms):
     """Cross inner products between a's units and b's units at one boundary,
-    with b's other boundaries viewed through the current permutations."""
+    with b's other boundaries viewed through the current permutations.
+    pa and pb are the two models' parameters cast to float64."""
     bnd = wir[bid]
     units = bnd.units
     score = np.zeros((units, units))
 
-    prod = a.layers[bnd.producer]
-    aw = a.params[f"{prod.name}.w"].astype(np.float64)
-    bw = b.params[f"{prod.name}.w"].astype(np.float64)
+    prod = layers[bnd.producer]
+    aw = pa[f"{prod.name}.w"]
+    bw = pb[f"{prod.name}.w"]
     up = _feeder(wir, bnd.producer)
     if up is not None:
         vu = perms[up]
@@ -147,21 +154,20 @@ def _score_matrix(a, b, wir, bid, perms):
     score += aw.reshape(units, -1) @ bw.reshape(units, -1).T
 
     vec_keys = []
-    if f"{prod.name}.b" in a.params:
+    if f"{prod.name}.b" in pa:
         vec_keys.append(f"{prod.name}.b")
     for ni in bnd.norms:
-        nname = a.layers[ni].name
+        nname = layers[ni].name
         for suf in ("gamma", "beta", "scale", "shift"):  # running stats stay out
             key = f"{nname}.{suf}"
-            if key in a.params:
+            if key in pa:
                 vec_keys.append(key)
     for key in vec_keys:
-        score += np.outer(a.params[key].astype(np.float64),
-                          b.params[key].astype(np.float64))
+        score += np.outer(pa[key], pb[key])
 
-    cons = a.layers[bnd.consumer]
-    acw = a.params[f"{cons.name}.w"].astype(np.float64)
-    bcw = b.params[f"{cons.name}.w"].astype(np.float64)
+    cons = layers[bnd.consumer]
+    acw = pa[f"{cons.name}.w"]
+    bcw = pb[f"{cons.name}.w"]
     if cons.boundary is not None:
         bcw = bcw[perms[cons.boundary]]
     if cons.kind == "dense":
@@ -183,11 +189,24 @@ def weight_match(model_a, model_b, seed=0, max_sweeps=100):
     fixed, which can only shrink the parameter-space residual.  Boundaries are
     visited in a fresh seeded random order every sweep; matching stops when a
     full sweep changes nothing.
+
+    A boundary's score matrix depends only on its neighbours' permutations, so
+    a visit where neither changed since the boundary's last solve would repeat
+    that solve exactly and is skipped. Each boundary's solve starts from the
+    column duals its previous solve ended at; the tie-broken result does not
+    depend on the starting duals.
     """
     _check_same_arch(model_a, model_b)
     wir = wiring(model_a)
+    layers = model_a.layers
     bids = [bid for bid, _ in model_a.boundary_map]
     perms = {bid: np.arange(n) for bid, n in model_a.boundary_map}
+    pa = {k: v.astype(np.float64) for k, v in model_a.params.items()}
+    pb = {k: v.astype(np.float64) for k, v in model_b.params.items()}
+    neighbours = {bid: _neighbours(layers, wir, bid) for bid in bids}
+    version = dict.fromkeys(bids, 0)   # bumped whenever a permutation changes
+    solved_at = {}                      # neighbour versions at each last solve
+    duals = dict.fromkeys(bids)
     rng = np.random.default_rng(seed)
 
     def residual():
@@ -197,10 +216,19 @@ def weight_match(model_a, model_b, seed=0, max_sweeps=100):
     for _ in range(max_sweeps):
         changed = False
         for bid in rng.permutation(bids):
-            res = solve_lap(_score_matrix(model_a, model_b, wir, bid, perms),
-                            sense="maximize")
+            at = tuple(version[n] for n in neighbours[bid])
+            if solved_at.get(bid) == at:
+                report.skipped += 1
+                continue
+            solved_at[bid] = at
+            cost = _warm_start(_score_matrix(layers, pa, pb, wir, bid, perms),
+                               duals[bid])
+            res = solve_lap(cost, sense="maximize")
+            duals[bid] = cost.duals
+            report.solves += 1
             if not np.array_equal(res.perm, perms[bid]):
                 perms[bid] = res.perm
+                version[bid] += 1
                 changed = True
         report.sweeps += 1
         report.objective.append(residual())
@@ -275,6 +303,7 @@ def activation_match(model_a, model_b, dataset, batch_size=256, phase=POST):
         total += res.objective
     spec = PermSpec(perms=perms)
     report = MatchReport(objective=[total], sweeps=1, converged=True,
+                         solves=len(perms),
                          residual_l2=l2_distance(model_a, apply_perm(model_b, spec)))
     return spec, report
 

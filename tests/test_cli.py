@@ -208,6 +208,9 @@ def test_match_emits_perm_report_and_aligned_checkpoint(tmp_path, ckpts):
     report = json.loads((run / "report.json").read_text())
     assert report["converged"] is True
     assert report["residual_l2"] > 0
+    # one boundary with no neighbours: solved once, every later visit skipped
+    assert report["solves"] == 1
+    assert report["skipped"] == report["sweeps"] - 1
     aligned = load_checkpoint(str(run / "aligned.rbnc"))
     assert aligned.params["dense0.w"].shape == (16, 8)
 
@@ -218,6 +221,9 @@ def test_match_activation_needs_dataset(tmp_path, ckpts):
     cfg = write_cfg(tmp_path, checkpoints=ckpts[:2], matcher="activation",
                     dataset=BLOBS, batch_size=64)
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    run = tmp_path / "r" / run_dirs(tmp_path / "r", "match")[-1]
+    report = json.loads((run / "report.json").read_text())
+    assert (report["solves"], report["skipped"]) == (1, 0)
 
 
 # ---------------------------------------------------------------- interp / renorm

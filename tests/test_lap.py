@@ -1,11 +1,13 @@
-"""Linear assignment: exactness vs brute force, determinism of tie-breaking."""
+"""Linear assignment: exactness vs brute force and scipy, determinism of
+tie-breaking, and degenerate costs at sizes brute force cannot reach."""
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rebasin.lap import solve_lap
+from rebasin.lap import _lex_min_matching, _warm_start, solve_lap
 
 
 def brute_force(cost, sense):
@@ -120,3 +122,104 @@ def test_optimality_property(n, seed, sense):
     a = solve_lap(cost, sense)
     want, _ = brute_force(cost, sense)
     assert abs(a.objective - want) <= 1e-9
+
+
+def rank1_lex_min(a, b, sense):
+    """Lex-min optimal perm of the cost outer(a, b) for positive a and b.
+
+    By the rearrangement inequality the optimum pairs rows in ascending a
+    with b descending (minimize) or ascending (maximize), so each level of a
+    owns a fixed multiset of b values; taking, row by row, the smallest free
+    column whose value that row's level still owns is the lex-min choice."""
+    n = len(a)
+    ranked = np.sort(b)[::-1] if sense == "minimize" else np.sort(b)
+    order = np.argsort(a, kind="stable")
+    quota = {}
+    for rank, i in enumerate(order):
+        key = (a[i], ranked[rank])
+        quota[key] = quota.get(key, 0) + 1
+    used = np.zeros(n, dtype=bool)
+    perm = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            if not used[j] and quota.get((a[i], b[j]), 0):
+                quota[a[i], b[j]] -= 1
+                used[j] = True
+                perm[i] = j
+                break
+    return perm
+
+
+@pytest.mark.parametrize("sense", ["minimize", "maximize"])
+def test_rank1_reference_agrees_with_brute_force(sense):
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        a, b = rng.integers(1, 4, n), rng.integers(1, 4, n)
+        _, want = brute_force(np.outer(a, b).astype(np.float64), sense)
+        np.testing.assert_array_equal(rank1_lex_min(a, b, sense), want)
+
+
+def test_degenerate_large_costs_are_lex_min_without_recursion():
+    limit = sys.getrecursionlimit()
+    zero = solve_lap(np.zeros((1024, 1024)), "minimize")
+    np.testing.assert_array_equal(zero.perm, np.arange(1024))
+    rng = np.random.default_rng(7)
+    a, b = rng.integers(1, 5, 512), rng.integers(1, 5, 512)
+    for sense in ("minimize", "maximize"):
+        got = solve_lap(np.outer(a, b).astype(np.float64), sense)
+        np.testing.assert_array_equal(got.perm, rank1_lex_min(a, b, sense))
+    assert sys.getrecursionlimit() == limit
+
+
+def test_long_alternating_chain_needs_no_recursion():
+    # row i is tight with columns i and i+1 (mod n): the two optimal perms are
+    # the identity and the shift, and moving from the shift to the identity
+    # rematches every row along one alternating chain
+    n = 2000
+    rows = np.arange(n)
+    cost = np.ones((n, n))
+    cost[rows, rows] = 0.0
+    cost[rows, (rows + 1) % n] = 0.0
+    limit = sys.getrecursionlimit()
+    shift = (rows + 1) % n
+    np.testing.assert_array_equal(_lex_min_matching(cost == 0.0, shift), rows)
+    np.testing.assert_array_equal(solve_lap(cost, "minimize").perm, rows)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_warm_start_matches_cold_solve_and_updates_duals():
+    rng = np.random.default_rng(8)
+    cost = rng.normal(0.0, 1.0, (40, 40))
+    cold = solve_lap(cost, "maximize")
+    warm = _warm_start(cost, None)
+    assert solve_lap(warm, "maximize").perm.tolist() == cold.perm.tolist()
+    assert warm.duals.shape == (40,)
+    for _ in range(5):
+        cost = cost + rng.normal(0.0, 0.05, cost.shape)
+        start = warm.duals
+        warm = _warm_start(cost, start)
+        got = solve_lap(warm, "maximize")
+        np.testing.assert_array_equal(got.perm, solve_lap(cost, "maximize").perm)
+        assert warm.duals is not start
+
+
+def _scipy_cases():
+    rng = np.random.default_rng(9)
+    for n in (50, 256):
+        yield f"normal-{n}", rng.normal(0.0, 1.0, (n, n))
+        yield f"int03-{n}", rng.integers(0, 4, (n, n)).astype(np.float64)
+        yield f"zero-{n}", np.zeros((n, n))
+        yield f"rank1-{n}", np.outer(rng.integers(0, 6, n),
+                                     rng.integers(0, 6, n)).astype(np.float64)
+
+
+@pytest.mark.parametrize("sense", ["minimize", "maximize"])
+def test_objective_matches_scipy(sense):
+    optimize = pytest.importorskip("scipy.optimize")
+    for label, cost in _scipy_cases():
+        got = solve_lap(cost, sense)
+        assert sorted(got.perm) == list(range(len(cost)))
+        rows, cols = optimize.linear_sum_assignment(cost, maximize=sense == "maximize")
+        want = float(cost[rows, cols].sum())
+        assert abs(got.objective - want) <= 1e-9 * max(1.0, abs(want)), label

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rebasin.data import synth_blobs
+from rebasin.lap import solve_lap
 from rebasin.match import (
+    _score_matrix,
     PermSpec,
     activation_match,
     apply_perm,
@@ -19,7 +21,7 @@ from rebasin.match import (
     streaming_activation_stats,
     weight_match,
 )
-from rebasin.model import build_model, forward, mlp_descriptor
+from rebasin.model import build_model, forward, mlp_descriptor, wiring
 from rebasin.probes import l2_distance
 from rebasin.renorm import measure_stats, repair
 from helpers import large_mean, models_bit_equal, rand_batch, seed_params, small_cnn_desc
@@ -172,6 +174,48 @@ def test_weight_match_objective_non_increasing():
     _, report = weight_match(a, b)
     assert all(x >= y - 1e-9 for x, y in zip(report.objective, report.objective[1:]))
     assert report.residual_l2 <= l2_distance(a, b) + 1e-12
+
+
+def cold_weight_match(a, b, seed, max_sweeps):
+    """weight_match without skips or warm starts: every boundary is solved
+    from scratch on every sweep."""
+    wir = wiring(a)
+    pa = {k: v.astype(np.float64) for k, v in a.params.items()}
+    pb = {k: v.astype(np.float64) for k, v in b.params.items()}
+    bids = [bid for bid, _ in a.boundary_map]
+    perms = {bid: np.arange(n) for bid, n in a.boundary_map}
+    rng = np.random.default_rng(seed)
+
+    def residual():
+        return l2_distance(a, apply_perm(b, PermSpec(perms=dict(perms))))
+
+    objective = [residual()]
+    for _ in range(max_sweeps):
+        changed = False
+        for bid in rng.permutation(bids):
+            res = solve_lap(_score_matrix(a.layers, pa, pb, wir, bid, perms),
+                            sense="maximize")
+            if not np.array_equal(res.perm, perms[bid]):
+                perms[bid] = res.perm
+                changed = True
+        objective.append(residual())
+        if not changed:
+            break
+    return perms, objective
+
+
+@pytest.mark.parametrize("max_sweeps", [100, 3])
+def test_skips_and_warm_starts_match_cold_reference(max_sweeps):
+    a = mlp(25, widths=(32, 32, 32), in_dim=20, classes=5)
+    b = mlp(26, widths=(32, 32, 32), in_dim=20, classes=5)
+    perm, report = weight_match(a, b, seed=4, max_sweeps=max_sweeps)
+    want, objective = cold_weight_match(a, b, seed=4, max_sweeps=max_sweeps)
+    assert report.converged == (max_sweeps == 100)
+    assert report.skipped > 0
+    assert report.solves + report.skipped == 3 * report.sweeps
+    for bid, v in want.items():
+        assert perm.perms[bid].tobytes() == v.tobytes()
+    assert report.objective == objective
 
 
 # ---------------------------------------------------------------- activation matching
