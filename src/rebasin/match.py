@@ -125,11 +125,11 @@ def _feeder(wir, layer_idx):
 
 
 def _neighbours(layers, wir, bid):
-    """Boundaries whose permutations enter bid's score matrix: the one feeding
-    its producer and the one its consumer produces."""
+    """(up, down): the boundaries whose permutations enter bid's score matrix,
+    the one feeding its producer and the one its consumer produces; None
+    where there is none."""
     bnd = wir[bid]
-    return tuple(n for n in (_feeder(wir, bnd.producer),
-                             layers[bnd.consumer].boundary) if n is not None)
+    return _feeder(wir, bnd.producer), layers[bnd.consumer].boundary
 
 
 def _score_matrix(layers, pa, pb, wir, bid, perms):
@@ -137,13 +137,13 @@ def _score_matrix(layers, pa, pb, wir, bid, perms):
     with b's other boundaries viewed through the current permutations.
     pa and pb are the two models' parameters cast to float64."""
     bnd = wir[bid]
+    up, down = _neighbours(layers, wir, bid)
     units = bnd.units
     score = np.zeros((units, units))
 
     prod = layers[bnd.producer]
     aw = pa[f"{prod.name}.w"]
     bw = pb[f"{prod.name}.w"]
-    up = _feeder(wir, bnd.producer)
     if up is not None:
         vu = perms[up]
         if prod.kind == "dense":
@@ -168,8 +168,8 @@ def _score_matrix(layers, pa, pb, wir, bid, perms):
     cons = layers[bnd.consumer]
     acw = pa[f"{cons.name}.w"]
     bcw = pb[f"{cons.name}.w"]
-    if cons.boundary is not None:
-        bcw = bcw[perms[cons.boundary]]
+    if down is not None:
+        bcw = bcw[perms[down]]
     if cons.kind == "dense":
         s = bnd.consumer_spatial
         a3 = acw.reshape(-1, units, s)
@@ -193,8 +193,10 @@ def weight_match(model_a, model_b, seed=0, max_sweeps=100):
     A boundary's score matrix depends only on its neighbours' permutations, so
     a visit where neither changed since the boundary's last solve would repeat
     that solve exactly and is skipped. Each boundary's solve starts from the
-    column duals its previous solve ended at; the tie-broken result does not
-    depend on the starting duals.
+    column duals its previous solve ended at. The tie-broken result does not
+    depend on those duals, except where two assignments' objectives differ by
+    more than the solver's tightness tolerance and less than n times it
+    (see `lap`).
     """
     _check_same_arch(model_a, model_b)
     wir = wiring(model_a)
@@ -203,7 +205,8 @@ def weight_match(model_a, model_b, seed=0, max_sweeps=100):
     perms = {bid: np.arange(n) for bid, n in model_a.boundary_map}
     pa = {k: v.astype(np.float64) for k, v in model_a.params.items()}
     pb = {k: v.astype(np.float64) for k, v in model_b.params.items()}
-    neighbours = {bid: _neighbours(layers, wir, bid) for bid in bids}
+    neighbours = {bid: [n for n in _neighbours(layers, wir, bid) if n is not None]
+                  for bid in bids}
     version = dict.fromkeys(bids, 0)   # bumped whenever a permutation changes
     solved_at = {}                      # neighbour versions at each last solve
     duals = dict.fromkeys(bids)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rebasin.lap import _lex_min_matching, _warm_start, solve_lap
+from rebasin.lap import _lex_min_matching, _tie_break, _warm_start, solve_lap
 
 
 def brute_force(cost, sense):
@@ -202,6 +202,22 @@ def test_warm_start_matches_cold_solve_and_updates_duals():
         got = solve_lap(warm, "maximize")
         np.testing.assert_array_equal(got.perm, solve_lap(cost, "maximize").perm)
         assert warm.duals is not start
+
+
+def test_tie_break_rejects_near_optimal_matching_whatever_the_duals():
+    # the identity is lex-smaller than the optimal swap and worse by 1.8 tol
+    # (tol = 1e-9 here): both optimal duals below make the swap tight, the
+    # first also the identity
+    tol = 1e-9
+    work = np.array([[1.8 * tol, 0.0], [0.0, 0.0]])
+    swap = np.array([1, 0])
+    v = np.array([0.9 * tol, 0.0])
+    reduced = work - v
+    tight = reduced - reduced.min(axis=1, keepdims=True) <= tol
+    assert _lex_min_matching(tight, swap).tolist() == [0, 1]
+    for duals in (v, np.zeros(2)):
+        np.testing.assert_array_equal(_tie_break(work, swap, duals), swap)
+    np.testing.assert_array_equal(solve_lap(work, "minimize").perm, swap)
 
 
 def _scipy_cases():
