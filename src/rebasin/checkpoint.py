@@ -5,8 +5,10 @@ header length, UTF-8 JSON header (layer descriptors in order, tensor names,
 shapes, dtype, metadata), then the raw tensor payload as little-endian
 IEEE-754 single precision, row-major, in header order.
 """
+import contextlib
 import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -19,6 +21,24 @@ VERSION = 1
 
 class CheckpointError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _atomic_write(path, mode="w"):
+    """Open a new file beside path for writing; when the block exits cleanly
+    it replaces path, and when the block raises it is removed, so path holds
+    either its earlier contents or the whole new file, never part of one.
+    (A crash of the machine itself can still lose unflushed data.)"""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, mode.replace("w", "x"))   # x: never write into a file we did not make
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def save_checkpoint(model, path):
@@ -35,7 +55,7 @@ def save_checkpoint(model, path):
         "meta": model.meta,
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(blob)))

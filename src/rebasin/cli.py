@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import _atomic_write, load_checkpoint, save_checkpoint
 from .lap import solve_lap
 from .match import _resolve_matcher, apply_perm, multi_match
 from .model import POST, NonFiniteError, build_model
@@ -117,7 +117,7 @@ def _new_run_dir(out, command):
 
 
 def _write_json(path, doc):
-    with open(path, "w") as fh:
+    with _atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -377,10 +377,11 @@ def _layer_fwd(spec, p, x, use_batch, update_stats, collect_norm_stats):
                                  spec.stride, spec.pad)
         return y, (cols, x.shape)
     if kind == "relu":
-        return ops.relu_fwd(x), x
+        y = ops.relu_fwd(x)
+        return y, y     # the next layer may hold y anyway; x can go
     if kind == "maxpool2d":
-        y, arg = ops.maxpool_fwd(x, spec.kernel, spec.stride)
-        return y, (x.shape, arg)
+        y = ops.maxpool_fwd(x, spec.kernel, spec.stride)
+        return y, (x, y)
     if kind == "flatten":
         return x.reshape(x.shape[0], -1), x.shape
     if kind == "batchnorm":

@@ -48,15 +48,21 @@ def conv_out_hw(h, w, k, stride, pad):
 
 
 def im2col(x, k, stride, pad):
-    """(N,C,H,W) -> (N, Ho*Wo, C*k*k) patch matrix."""
+    """(N,C,H,W) -> (N, Ho*Wo, C*k*k) patch matrix.
+
+    The input is copied once to a zero-padded (N, H, W, C) buffer, then each of
+    the k*k kernel offsets fills its slot of the (N, Ho, Wo, C, k, k) output
+    with one strided slice copy.
+    """
     n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     ho, wo = conv_out_hw(h, w, k, stride, pad)
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]          # (N, C, Ho, Wo, k, k)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * k * k)
-    return np.ascontiguousarray(cols), (ho, wo)
+    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((n, ho, wo, c, k, k), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            cols[..., ki, kj] = xp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
+    return cols.reshape(n, ho * wo, c * k * k), (ho, wo)
 
 
 def col2im(dcols, x_shape, k, stride, pad, out_hw):
@@ -94,15 +100,16 @@ def conv2d_dx(x_shape, w, dy, stride, pad):
 
 
 def conv2d_bwd(cols, x_shape, w, dy, stride, pad):
-    dw = np.einsum("npo,npk->ok", _dy_rows(dy), cols).reshape(w.shape)
+    cout = w.shape[0]
+    dw = (_dy_rows(dy).reshape(-1, cout).T @ cols.reshape(-1, cols.shape[-1])).reshape(w.shape)
     db = dy.sum(axis=(0, 2, 3))
     return conv2d_dx(x_shape, w, dy, stride, pad), dw, db
 
 
 def conv2d_sq_grad(cols, w_shape, dy):
     """Sum over samples of the squared per-sample weight gradient, in float64."""
-    g = np.einsum("npo,npk->nok", _dy_rows(dy).astype(np.float64),
-                  cols.astype(np.float64))
+    n, cout = dy.shape[:2]
+    g = dy.reshape(n, cout, -1).astype(np.float64) @ cols.astype(np.float64)  # (N, Cout, C*k*k)
     return (g ** 2).sum(axis=0).reshape(w_shape)
 
 
@@ -112,30 +119,52 @@ def relu_fwd(x):
     return np.maximum(x, 0)
 
 
-def relu_bwd(x, dy):
-    return dy * (x > 0)
+def relu_bwd(y, dy):
+    """y may be relu's input or its output: both are > 0 at the same places."""
+    return dy * (y > 0)
+
+
+def _pool_windows(ho, wo, k, stride):
+    """Index of each kernel offset's strided slice, in row-major offset order:
+    x[win] holds that element of every pooling window, laid out like y."""
+    for ki in range(k):
+        for kj in range(k):
+            yield (..., slice(ki, ki + stride * (ho - 1) + 1, stride),
+                   slice(kj, kj + stride * (wo - 1) + 1, stride))
 
 
 def maxpool_fwd(x, k, stride):
-    n, c, h, w = x.shape
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].reshape(n, c, ho, wo, k * k)
-    arg = win.argmax(axis=-1)
-    y = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-    return y, arg
+    h, w = x.shape[2:]
+    y = None
+    for win in _pool_windows((h - k) // stride + 1, (w - k) // stride + 1, k, stride):
+        # np.maximum propagates NaN and returns its second operand on ties, so
+        # y keeps the first maximum in window order (the sign of a tied zero).
+        y = x[win].copy() if y is None else np.maximum(x[win], y, out=y)
+    return y
 
 
-def maxpool_bwd(x_shape, arg, k, stride, dy):
-    n, c, h, w = x_shape
-    ho, wo = arg.shape[2], arg.shape[3]
-    ii = (np.arange(ho) * stride)[None, None, :, None] + arg // k
-    jj = (np.arange(wo) * stride)[None, None, None, :] + arg % k
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    ni = np.arange(n)[:, None, None, None]
-    ci = np.arange(c)[None, :, None, None]
-    np.add.at(dx, (ni, ci, ii, jj), dy)
+def maxpool_bwd(x, y, k, stride, dy):
+    """Send each window's dy to the first of its elements, in row-major order,
+    that equals y (the first NaN when y is NaN): the element argmax picks.
+
+    Overlapping windows (stride < k) add into dx in the order of the windows,
+    row-major. dx is dy times the chosen element's indicator, so a non-finite
+    dy also reaches the window's other elements as 0*dy.
+    """
+    nan = np.isnan(y).any()
+    free = np.ones(y.shape, dtype=bool)      # windows whose element is not chosen yet
+    hits = []
+    for win in _pool_windows(*y.shape[2:], k, stride):
+        hit = x[win] == y
+        if nan:
+            hit |= np.isnan(x[win])
+        hit &= free
+        free ^= hit
+        hits.append((win, hit))
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    # A later kernel offset belongs to an earlier window of the same element.
+    for win, hit in reversed(hits):
+        dx[win] += dy * hit
     return dx
 
 
@@ -159,13 +188,16 @@ def batchnorm_fwd(x, gamma, beta, mean, var, eps, use_batch):
             raise ValueError(
                 "batch statistics need more than one value per channel (got %d)" % n_eff)
         mu = x.mean(axis=axes)
-        v = x.var(axis=axes)
+    else:
+        mu = mean
+    xhat = x - chanview(mu, x.ndim)       # centred here, scaled below
+    if use_batch:
+        v = (xhat * xhat).mean(axis=axes)    # bitwise x.var(axis=axes)
         var_unbiased = v * (n_eff / (n_eff - 1.0))
     else:
-        mu, v = mean, var
-        var_unbiased = None
+        v, var_unbiased = var, None
     inv = 1.0 / np.sqrt(v + eps)
-    xhat = (x - chanview(mu, x.ndim)) * chanview(inv, x.ndim)
+    xhat = xhat * chanview(inv, x.ndim)
     y = xhat
     if gamma is not None:
         y = xhat * chanview(gamma, x.ndim) + chanview(beta, x.ndim)

@@ -126,6 +126,29 @@ def test_save_rejects_non_float32(tmp_path):
         save_checkpoint(m, tmp_path / "m.rbnc")
 
 
+class _Unwritable:
+    """Passes save_checkpoint's dtype check, then fails as its payload is written."""
+    dtype = np.dtype(np.float32)
+    shape = (3,)
+
+
+def test_failed_save_leaves_earlier_file_intact(tmp_path):
+    m = seed_params(build_model(mlp_descriptor(4, [3], 2)), seed=9)
+    path = tmp_path / "m.rbnc"
+    save_checkpoint(m, path)
+    before = path.read_bytes()
+    broken = seed_params(build_model(mlp_descriptor(4, [3], 2)), seed=10)
+    broken.params["zz.unwritable"] = _Unwritable()
+    with pytest.raises(TypeError):
+        save_checkpoint(broken, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.rbnc"]
+    del broken.params["zz.unwritable"]
+    save_checkpoint(broken, path)          # a whole write still replaces the file
+    assert models_bit_equal(load_checkpoint(path), broken)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.rbnc"]
+
+
 @settings(max_examples=20, deadline=None)
 @given(widths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
        seed=st.integers(0, 100))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rebasin.checkpoint import load_checkpoint, save_checkpoint
-from rebasin.cli import _new_run_dir, main
+from rebasin.cli import _new_run_dir, _write_json, main
 from rebasin.data import synth_blobs
 from rebasin.model import build_model, mlp_descriptor
 from rebasin.train import TrainConfig, init_params, train
@@ -117,6 +117,16 @@ def test_train_seed_flag_overrides_and_lands_in_snapshot(tmp_path):
     assert (run / "model-seed7.rbnc").exists()
     snap = json.loads((run / "config.json").read_text())
     assert snap["train"]["seed"] == 7 and snap["seeds"] == [7]
+
+
+def test_failed_json_write_leaves_earlier_file_intact(tmp_path):
+    path = tmp_path / "report.json"
+    _write_json(path, {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):   # json.dump has written "a" when it reaches "b"
+        _write_json(path, {"a": 2, "b": object()})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
 # ---------------------------------------------------------------- exit codes

@@ -1,13 +1,15 @@
 """Model construction, forward evaluation, taps, and affine folding.
 
 The forward oracles here are loop-based scalar reimplementations, written
-independently of the vectorized engine.
+independently of the vectorized engine. The kernel oracles are the earlier
+vectorized formulations: argmax pooling, window-view im2col and einsum dw.
 """
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
+from rebasin import ops
 from rebasin.model import (
     BuildError,
     NonFiniteError,
@@ -68,6 +70,47 @@ def maxpool_oracle(x, k, stride):
                     patch = x[ni, ci, i * stride:i * stride + k, j * stride:j * stride + k]
                     out[ni, ci, i, j] = float(np.max(patch.astype(np.float64)))
     return out
+
+
+def argmax_maxpool_fwd(x, k, stride):
+    """Pooling by argmax over each window's flattened k*k elements: (y, arg)."""
+    n, c, h, w = x.shape
+    ho = (h - k) // stride + 1
+    wo = (w - k) // stride + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride].reshape(n, c, ho, wo, k * k)
+    arg = win.argmax(axis=-1)
+    y = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    return y, arg
+
+
+def argmax_maxpool_bwd(x_shape, arg, k, stride, dy):
+    """Scatter-add each window's dy onto its argmax, windows in row-major order."""
+    n, c, h, w = x_shape
+    ho, wo = arg.shape[2], arg.shape[3]
+    ii = (np.arange(ho) * stride)[None, None, :, None] + arg // k
+    jj = (np.arange(wo) * stride)[None, None, None, :] + arg % k
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    ni = np.arange(n)[:, None, None, None]
+    ci = np.arange(c)[None, :, None, None]
+    np.add.at(dx, (ni, ci, ii, jj), dy)
+    return dx
+
+
+def window_im2col(x, k, stride, pad):
+    """im2col as one copy of a transposed 6-D sliding-window view."""
+    n, c, h, w = x.shape
+    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * k * k))
+
+
+def einsum_conv_dw(cols, dy):
+    """Conv weight gradient as one einsum over samples and positions: (Cout, C*k*k)."""
+    n, cout = dy.shape[:2]
+    return np.einsum("npo,npk->ok", dy.reshape(n, cout, -1).transpose(0, 2, 1), cols)
 
 
 def bn_eval_oracle(x, gamma, beta, mean, var, eps):
@@ -451,6 +494,104 @@ def test_fold_rejects_affine_after_non_foldable_layer():
                   input_shape=m.input_shape, meta=dict(m.meta))
     with pytest.raises(ValueError):
         fold_affine(bad)
+
+
+# ---------------------------------------------------------------- kernels
+
+def tied_batch(shape, seed):
+    """Small integers, so most pooling windows hold ties; half the zeros are -0.0."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=shape).astype(np.float32)
+    zeros = x == 0
+    x[zeros] = np.where(rng.random(zeros.sum()) < 0.5, np.float32(-0.0), np.float32(0.0))
+    return x
+
+
+@pytest.mark.parametrize("k, stride", [(2, 2), (3, 3), (2, 1), (3, 1), (3, 2)])
+def test_maxpool_matches_argmax_oracle_bitwise(k, stride):
+    x = tied_batch((4, 3, 9, 10), seed=k * 10 + stride)
+    y, arg = argmax_maxpool_fwd(x, k, stride)
+    got = ops.maxpool_fwd(x, k, stride)
+    assert bits_equal(got, y)
+    dy = np.random.default_rng(stride).standard_normal(y.shape).astype(np.float32)
+    assert bits_equal(ops.maxpool_bwd(x, got, k, stride, dy),
+                      argmax_maxpool_bwd(x.shape, arg, k, stride, dy))
+
+
+@pytest.mark.parametrize("k, stride", [(2, 2), (2, 1)])
+def test_maxpool_nan_anywhere_in_a_window_gives_nan(k, stride):
+    base = np.random.default_rng(0).standard_normal((1, 1, 4, 4)).astype(np.float32)
+    for i in range(k):
+        for j in range(k):
+            x = base.copy()
+            x[0, 0, i, j] = np.nan
+            y = ops.maxpool_fwd(x, k, stride)
+            want_y, arg = argmax_maxpool_fwd(x, k, stride)
+            assert np.isnan(y[0, 0, 0, 0])
+            assert np.array_equal(np.isnan(y), np.isnan(want_y))
+            # argmax sends the window's gradient to the NaN; so does the backward
+            dy = np.ones_like(y)
+            dx = ops.maxpool_bwd(x, y, k, stride, dy)
+            assert bits_equal(dx, argmax_maxpool_bwd(x.shape, arg, k, stride, dy))
+            assert dx[0, 0, i, j] >= 1
+
+
+@pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (2, 2, 0), (1, 1, 0), (3, 1, 0)])
+def test_im2col_matches_window_view_bitwise(k, stride, pad):
+    x = rand_batch((3, 7, 6), 2, seed=k + stride + pad)
+    cols, (ho, wo) = ops.im2col(x, k, stride, pad)
+    assert bits_equal(cols, window_im2col(x, k, stride, pad))
+    assert cols.shape[1] == ho * wo
+
+
+@pytest.mark.parametrize("stride, pad", [(1, 1), (2, 1), (1, 0)])
+def test_conv_dw_matches_float64_oracle_to_float32_rounding(stride, pad):
+    rng = np.random.default_rng(stride + 2 * pad)
+    x = rng.standard_normal((16, 4, 9, 9)).astype(np.float32)
+    w = rng.standard_normal((6, 4, 3, 3)).astype(np.float32)
+    cols, (ho, wo) = ops.im2col(x, 3, stride, pad)
+    dy = rng.standard_normal((16, 6, ho, wo)).astype(np.float32)
+    _, dw, _ = ops.conv2d_bwd(cols, x.shape, w, dy, stride, pad)
+    assert dw.dtype == np.float32 and dw.shape == w.shape
+    want = einsum_conv_dw(cols.astype(np.float64), dy.astype(np.float64))
+    # Any float32 summation order over m = N*Ho*Wo products stays within
+    # m * eps32 * sum|dy * cols| of the exact value.
+    m = dy.shape[0] * ho * wo
+    bound = m * np.finfo(np.float32).eps * einsum_conv_dw(np.abs(cols.astype(np.float64)),
+                                                          np.abs(dy.astype(np.float64)))
+    assert np.all(np.abs(dw.reshape(6, -1) - want) <= bound)
+
+
+def test_conv_sq_grad_matches_per_sample_loop():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5, 3, 6, 6)).astype(np.float32)
+    cols, (ho, wo) = ops.im2col(x, 3, 1, 1)
+    dy = rng.standard_normal((5, 4, ho, wo)).astype(np.float32)
+    want = np.zeros((4, 27))
+    for i in range(5):
+        g = einsum_conv_dw(cols[i:i + 1].astype(np.float64), dy[i:i + 1].astype(np.float64))
+        want += g ** 2
+    got = ops.conv2d_sq_grad(cols, (4, 3, 3, 3), dy)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got.reshape(4, -1), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("shape", [(16, 5), (8, 4, 6, 6)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_batch_stats_equal_two_pass_var_bitwise(shape, dtype):
+    x = (np.random.default_rng(1).standard_normal(shape) * 3 + 50).astype(dtype)
+    c = shape[1]
+    gamma, beta = np.full(c, 1.5, np.float32), np.full(c, 0.25, np.float32)
+    y, (xhat, inv, *_), bm, bv = ops.batchnorm_fwd(
+        x, gamma, beta, np.zeros(c, np.float32), np.ones(c, np.float32), 1e-5, True)
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+    mu, v = x.mean(axis=axes), x.var(axis=axes)
+    n_eff = x.size // c
+    want_xhat = (x - ops.chanview(mu, x.ndim)) * ops.chanview(1.0 / np.sqrt(v + 1e-5), x.ndim)
+    assert bits_equal(bm, mu)
+    assert bits_equal(bv, v * (n_eff / (n_eff - 1.0)))
+    assert bits_equal(xhat, want_xhat)
+    assert bits_equal(y, want_xhat * ops.chanview(gamma, x.ndim) + ops.chanview(beta, x.ndim))
 
 
 # ---------------------------------------------------------------- properties
