@@ -28,10 +28,12 @@ def _atomic_write(path, mode="w"):
     """Open a new file beside path for writing; when the block exits cleanly
     it replaces path, and when the block raises it is removed, so path holds
     either its earlier contents or the whole new file, never part of one.
-    (A crash of the machine itself can still lose unflushed data.)"""
+    (A crash of the machine itself can still lose unflushed data.) Text is
+    written with newline="", as the csv module needs."""
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, mode.replace("w", "x"))   # x: never write into a file we did not make
+    # x: never write into a file we did not make
+    fh = open(tmp, mode.replace("w", "x"), newline=None if "b" in mode else "")
     try:
         with fh:
             yield fh
@@ -82,20 +84,28 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"malformed header: {e}") from None
 
-    field_names = {f.name for f in dataclasses.fields(LayerSpec)}
-    layers = []
-    for d in header.get("layers", []):
-        extra = set(d) - field_names
-        if extra:
-            raise CheckpointError(f"unknown layer fields {sorted(extra)}")
-        layers.append(LayerSpec(**d))
+    try:
+        model = _from_header(header, data, 16 + hlen)
+        _check_consistent(model)
+    except CheckpointError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"malformed header: {type(e).__name__}: {e}") from None
+    return model
 
+
+def _from_header(header, data, offset):
+    """The model a parsed header describes, its tensors read from data at
+    offset. A header of the wrong structure raises whatever its first bad
+    field raises; load_checkpoint turns that into CheckpointError."""
+    layers = [LayerSpec(**d) for d in header.get("layers", [])]
     params = {}
-    offset = 16 + hlen
     for t in header.get("tensors", []):
         if t.get("dtype") != "float32":
             raise CheckpointError(f"tensor {t.get('name')}: unsupported dtype")
         shape = tuple(int(d) for d in t["shape"])
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"tensor {t['name']}: negative shape {shape}")
         nbytes = int(np.prod(shape, dtype=np.int64)) * 4
         if offset + nbytes > len(data):
             raise CheckpointError(f"truncated payload at tensor {t['name']}")
@@ -104,32 +114,30 @@ def load_checkpoint(path):
         offset += nbytes
     if offset != len(data):
         raise CheckpointError(f"{len(data) - offset} unexpected trailing bytes")
-
-    model = ModelGraph(
+    return ModelGraph(
         layers=layers,
         params=params,
         boundary_map=[(b, int(n)) for b, n in header.get("boundary_map", [])],
         input_shape=tuple(header.get("input_shape", [])),
         meta=header.get("meta", {}),
     )
-    _check_consistent(model)
-    return model
 
 
 def _check_consistent(model):
     """Layers must compose, the boundary map must name each hidden weight
-    layer's output, and the tensors must be exactly the layers' own (plus
-    optional tracked boundary statistics) in the layers' shapes."""
+    layer's output once and in order, and the tensors must be exactly the
+    layers' own (plus optional tracked boundary statistics) in the layers'
+    shapes."""
     try:
         propagate_shapes(model.layers, model.input_shape)
     except (ValueError, TypeError, IndexError) as e:
         raise CheckpointError(f"layers do not compose: {e}") from None
-    units = dict(model.boundary_map)
-    producers = {s.boundary: s.n_out for s in model.layers
-                 if s.kind in WEIGHT_KINDS and s.boundary is not None}
-    if units != producers:
-        raise CheckpointError(f"boundary map {units} disagrees with the weight "
-                              f"layers' boundaries {producers}")
+    producers = [(s.boundary, s.n_out) for s in model.layers
+                 if s.kind in WEIGHT_KINDS and s.boundary is not None]
+    units = dict(producers)
+    if model.boundary_map != producers or len(units) != len(producers):
+        raise CheckpointError(f"boundary map {model.boundary_map} must list the "
+                              f"weight layers' distinct boundaries {producers}")
     want = {k: shape for s in model.layers
             for k, (shape, _) in layer_tensors(s).items()}
     missing = sorted(set(want) - set(model.params))

@@ -197,7 +197,7 @@ def _cmd_curve(cfg, run, default_mode):
                         batch_size=int(cfg.get("batch_size", 512)),
                         stats_batch_size=int(cfg.get("stats_batch_size", 256)))
     report.write_csv(os.path.join(run, "curve.csv"))
-    report.write_json(os.path.join(run, "report.json"))
+    _write_json(os.path.join(run, "report.json"), report.summary())
     return EXIT_OK
 
 
@@ -262,7 +262,7 @@ def _cmd_prune(cfg, run):
             row.append(evaluate(fixed, eval_ds)[1])
         rows.append(row)
     header = "sparsity,accuracy" + (",repaired_accuracy" if repair_mode else "")
-    with open(os.path.join(run, "sparsity_vs_accuracy.csv"), "w") as fh:
+    with _atomic_write(os.path.join(run, "sparsity_vs_accuracy.csv")) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(repr(v) for v in row) + "\n")

@@ -125,6 +125,14 @@ def cnn_descriptor(input_shape, convs, num_classes, norm="batchnorm", dense_hidd
     return {"input_shape": list(input_shape), "layers": layers}
 
 
+# descriptor key -> (LayerSpec field, conversion)
+_SPEC_FIELDS = {
+    "in": ("n_in", int), "out": ("n_out", int), "k": ("kernel", int),
+    "stride": ("stride", int), "pad": ("pad", int), "bias": ("has_bias", bool),
+    "eps": ("eps", float), "momentum": ("momentum", float),
+    "affine": ("affine", bool),
+}
+
 _LAYER_KEYS = {
     "dense": {"kind", "out", "in", "bias"},
     "conv2d": {"kind", "out", "in", "k", "stride", "pad", "bias"},
@@ -165,8 +173,11 @@ def layer_tensors(spec):
 def build_model(descriptor):
     """Build a zero-initialized ModelGraph from a JSON-style descriptor.
 
-    Shapes are propagated and validated; boundary ids b0, b1, ... are assigned
-    to every hidden weight-layer output in order.
+    Each weight layer's fan-in and each norm layer's channel count come from
+    the shape reaching it. Boundary ids b0, b1, ... are assigned to every
+    hidden weight-layer output in order, and to the norm layers extending
+    its chain; the result must then pass propagate_shapes, as a loaded
+    checkpoint must.
     """
     if not isinstance(descriptor, dict):
         raise BuildError("descriptor must be a dict")
@@ -178,18 +189,10 @@ def build_model(descriptor):
         raw_layers = list(descriptor["layers"])
     except (KeyError, TypeError) as e:
         raise BuildError(f"descriptor needs input_shape and layers: {e}") from None
-    if len(input_shape) not in (1, 3) or any(d < 1 for d in input_shape):
-        raise BuildError(f"unsupported input shape {input_shape}")
-    if not raw_layers:
-        raise BuildError("empty layer list")
 
     counters = {}
     specs = []
-    cur = input_shape
-    chain_open = False           # norm layers may only extend an open producer chain
-    attach_to = None             # index of the weight layer an open chain belongs to
-    attachments = {}             # weight index -> [norm indices]
-
+    cur = _check_input_shape(input_shape)
     for pos, entry in enumerate(raw_layers):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise BuildError(f"layer {pos}: each layer needs a 'kind'")
@@ -201,125 +204,119 @@ def build_model(descriptor):
             raise BuildError(f"layer {pos} ({kind}): unknown keys {sorted(extra)}")
         idx = counters.get(kind, 0)
         counters[kind] = idx + 1
-        name = f"{_NAME_PREFIX[kind]}{idx}"
+        spec = LayerSpec(kind, f"{_NAME_PREFIX[kind]}{idx}",
+                         **{_SPEC_FIELDS[k][0]: _SPEC_FIELDS[k][1](v)
+                            for k, v in entry.items() if k != "kind"})
+        if kind in WEIGHT_KINDS and spec.n_in is None:
+            spec.n_in = cur[0]       # a declared fan-in is checked by _out_shape
+        if kind in NORM_KINDS:
+            spec.channels = cur[0]
+        if kind in ("conv2d", "maxpool2d") and spec.stride is None:
+            spec.stride = 1 if kind == "conv2d" else spec.kernel
+        cur = _out_shape(spec, cur)
+        specs.append(spec)
 
-        if kind == "dense":
-            if len(cur) != 1:
-                raise BuildError(f"layer {pos}: dense needs flat input, got shape {cur}")
-            if "in" in entry and int(entry["in"]) != cur[0]:
-                raise BuildError(
-                    f"layer {pos}: declared fan-in {entry['in']} != actual {cur[0]}")
-            out = int(entry["out"])
-            if out < 1:
-                raise BuildError(f"layer {pos}: out must be >= 1")
-            specs.append(LayerSpec(kind, name, n_in=cur[0], n_out=out,
-                                   has_bias=bool(entry.get("bias", True))))
-            cur = (out,)
-            chain_open = True
-            attach_to = len(specs) - 1
-        elif kind == "conv2d":
-            if len(cur) != 3:
-                raise BuildError(f"layer {pos}: conv2d needs (C,H,W) input, got {cur}")
-            if "in" in entry and int(entry["in"]) != cur[0]:
-                raise BuildError(
-                    f"layer {pos}: declared in_ch {entry['in']} != actual {cur[0]}")
-            out = int(entry["out"])
-            k = int(entry["k"])
-            stride = int(entry.get("stride", 1))
-            pad = int(entry.get("pad", 0))
-            if out < 1 or k < 1 or stride < 1 or pad < 0:
-                raise BuildError(f"layer {pos}: bad conv2d geometry")
-            ho, wo = ops.conv_out_hw(cur[1], cur[2], k, stride, pad)
-            if ho < 1 or wo < 1:
-                raise BuildError(f"layer {pos}: conv2d output would be empty ({ho}x{wo})")
-            specs.append(LayerSpec(kind, name, n_in=cur[0], n_out=out, kernel=k,
-                                   stride=stride, pad=pad,
-                                   has_bias=bool(entry.get("bias", True))))
-            cur = (out, ho, wo)
-            chain_open = True
-            attach_to = len(specs) - 1
-        elif kind == "relu":
-            specs.append(LayerSpec(kind, name))
-            chain_open = False
-        elif kind == "maxpool2d":
-            if len(cur) != 3:
-                raise BuildError(f"layer {pos}: maxpool2d needs (C,H,W) input, got {cur}")
-            k = int(entry["k"])
-            stride = int(entry.get("stride", k))
-            ho = (cur[1] - k) // stride + 1
-            wo = (cur[2] - k) // stride + 1
-            if k < 1 or stride < 1 or ho < 1 or wo < 1:
-                raise BuildError(f"layer {pos}: bad maxpool2d geometry")
-            specs.append(LayerSpec(kind, name, kernel=k, stride=stride))
-            cur = (cur[0], ho, wo)
-            chain_open = False
-        elif kind == "flatten":
-            specs.append(LayerSpec(kind, name))
-            cur = (int(np.prod(cur)),)
-            chain_open = False
-        else:  # batchnorm / layernorm / channel_affine
-            if not chain_open:
-                raise BuildError(
-                    f"layer {pos}: {kind} must directly follow a weight layer "
-                    "or another normalization layer")
-            spec = LayerSpec(kind, name, channels=cur[0],
-                             eps=float(entry.get("eps", 1e-5)),
-                             momentum=float(entry.get("momentum", 0.1)),
-                             affine=bool(entry.get("affine", True)))
-            if spec.eps <= 0:
-                raise BuildError(f"layer {pos}: eps must be positive")
-            specs.append(spec)
-            attachments.setdefault(attach_to, []).append(len(specs) - 1)
-
-    weight_idxs = [i for i, s in enumerate(specs) if s.kind in WEIGHT_KINDS]
-    if not weight_idxs:
-        raise BuildError("model has no weight layers")
-    if attachments.get(weight_idxs[-1]):
-        raise BuildError("normalization after the final weight layer is unsupported")
-
-    boundary_map = []
-    for b, wi in enumerate(weight_idxs[:-1]):
-        bid = f"b{b}"
-        specs[wi].boundary = bid
-        for ni in attachments.get(wi, []):
-            specs[ni].boundary = bid
-        boundary_map.append((bid, specs[wi].n_out))
+    hidden = [s for s in specs if s.kind in WEIGHT_KINDS][:-1]
+    for b, s in enumerate(hidden):
+        s.boundary = f"b{b}"
+    for prev, s in zip(specs, specs[1:]):
+        if s.kind in NORM_KINDS:
+            s.boundary = prev.boundary
+    propagate_shapes(specs, input_shape)
 
     params = {k: np.full(shape, fill, dtype=np.float32)
               for s in specs for k, (shape, fill) in layer_tensors(s).items()}
-    return ModelGraph(layers=specs, params=params, boundary_map=boundary_map,
+    return ModelGraph(layers=specs, params=params,
+                      boundary_map=[(s.boundary, s.n_out) for s in hidden],
                       input_shape=input_shape,
                       meta={"arch": _copy.deepcopy(descriptor)})
 
 
-# ---------------------------------------------------------------- wiring
+# ---------------------------------------------------------------- shape rules and wiring
+
+def _check_input_shape(shape):
+    if len(shape) not in (1, 3) or any(d < 1 for d in shape):
+        raise BuildError(f"unsupported input shape {shape}")
+    return shape
+
+
+def _check_ints(spec, **lows):
+    for field, low in lows.items():
+        value = getattr(spec, field)
+        if not isinstance(value, int) or value < low:
+            raise BuildError(f"{spec.name}: {field} must be an integer >= {low}, "
+                             f"got {value!r}")
+
+
+def _out_shape(spec, shape):
+    """One layer's output shape (batch axis excluded) from its input shape:
+    the per-kind geometry, written once. Raises BuildError when the layer
+    does not fit that input or its own fields are out of range."""
+    kind, name = spec.kind, spec.name
+    rank = {"dense": 1, "conv2d": 3, "maxpool2d": 3}.get(kind)
+    if rank is not None and len(shape) != rank:
+        raise BuildError(f"{name}: {kind} needs a rank-{rank} input, got {shape}")
+    if kind in WEIGHT_KINDS:
+        if spec.n_in != shape[0]:
+            raise BuildError(f"{name}: fan-in {spec.n_in} != input {shape[0]}")
+        _check_ints(spec, n_out=1)
+        if kind == "dense":
+            return (spec.n_out,)
+    if kind in ("conv2d", "maxpool2d"):
+        pad = spec.pad if kind == "conv2d" else 0    # pooling never pads
+        _check_ints(spec, kernel=1, stride=1, pad=0)
+        ho, wo = ops.conv_out_hw(shape[1], shape[2], spec.kernel, spec.stride, pad)
+        if ho < 1 or wo < 1:
+            raise BuildError(f"{name}: {kind} output would be empty ({ho}x{wo})")
+        return (spec.n_out if kind == "conv2d" else shape[0], ho, wo)
+    if kind == "flatten":
+        return (int(np.prod(shape)),)
+    if kind in NORM_KINDS:
+        if spec.channels != shape[0]:
+            raise BuildError(f"{name}: channels {spec.channels} != input {shape[0]}")
+        if not spec.eps > 0:
+            raise BuildError(f"{name}: eps must be positive, got {spec.eps!r}")
+        return shape
+    if kind == "relu":
+        return shape
+    raise BuildError(f"{name}: unknown layer kind {kind!r}")
+
 
 def propagate_shapes(layers, input_shape):
-    """Per-layer output shapes (batch axis excluded)."""
+    """Per-layer output shapes (batch axis excluded), checked against every
+    rule a layer list must keep; build_model and load_checkpoint both apply
+    them. Each layer must fit the shape reaching it (_out_shape). There must
+    be a weight layer; every hidden one carries a boundary and the final one
+    none. A norm layer must directly follow a hidden weight layer or a norm
+    layer extending its chain, and carry that weight layer's boundary, so
+    wiring's pre-activation tap ends the chain. Raises BuildError otherwise.
+    """
+    cur = _check_input_shape(tuple(input_shape))
+    weights = [s for s in layers if s.kind in WEIGHT_KINDS]
+    if not weights:
+        raise BuildError("model has no weight layers")
     shapes = []
-    cur = tuple(input_shape)
+    owner = None       # the weight layer whose normalization chain is open
     for s in layers:
-        if s.kind == "dense":
-            if len(cur) != 1 or cur[0] != s.n_in:
-                raise BuildError(f"{s.name}: expects ({s.n_in},), got {cur}")
-            cur = (s.n_out,)
-        elif s.kind == "conv2d":
-            if len(cur) != 3 or cur[0] != s.n_in:
-                raise BuildError(f"{s.name}: expects ({s.n_in},H,W), got {cur}")
-            ho, wo = ops.conv_out_hw(cur[1], cur[2], s.kernel, s.stride, s.pad)
-            cur = (s.n_out, ho, wo)
-        elif s.kind == "maxpool2d":
-            ho = (cur[1] - s.kernel) // s.stride + 1
-            wo = (cur[2] - s.kernel) // s.stride + 1
-            cur = (cur[0], ho, wo)
-        elif s.kind == "flatten":
-            cur = (int(np.prod(cur)),)
-        elif s.kind in NORM_KINDS:
-            if s.channels != cur[0]:
-                raise BuildError(f"{s.name}: channels {s.channels} != input {cur[0]}")
-        elif s.kind != "relu":
-            raise BuildError(f"{s.name}: unknown layer kind {s.kind!r}")
+        cur = _out_shape(s, cur)
         shapes.append(cur)
+        if s.kind in WEIGHT_KINDS:
+            if (s.boundary is None) != (s is weights[-1]):
+                raise BuildError(f"{s.name}: hidden weight layers carry a boundary, "
+                                 "the final one none")
+            owner = s
+        elif s.kind in NORM_KINDS:
+            if owner is None:
+                raise BuildError(f"{s.name}: {s.kind} must directly follow a weight "
+                                 "layer or another normalization layer")
+            if owner is weights[-1]:
+                raise BuildError(f"{s.name}: normalization after the final weight "
+                                 "layer is unsupported")
+            if s.boundary != owner.boundary:
+                raise BuildError(f"{s.name}: boundary {s.boundary!r} is not "
+                                 f"{owner.name}'s {owner.boundary!r}")
+        else:
+            owner = None
     return shapes
 
 

@@ -134,9 +134,8 @@ def _pool_windows(ho, wo, k, stride):
 
 
 def maxpool_fwd(x, k, stride):
-    h, w = x.shape[2:]
     y = None
-    for win in _pool_windows((h - k) // stride + 1, (w - k) // stride + 1, k, stride):
+    for win in _pool_windows(*conv_out_hw(*x.shape[2:], k, stride, 0), k, stride):
         # np.maximum propagates NaN and returns its second operand on ties, so
         # y keeps the first maximum in window order (the sign of a tied zero).
         y = x[win].copy() if y is None else np.maximum(x[win], y, out=y)
@@ -273,10 +272,6 @@ def softmax_cross_entropy(logits, labels):
     p[np.arange(n), labels] -= 1.0
     dlogits = (p / n).astype(logits.dtype)
     return loss, dlogits
-
-
-def accuracy(logits, labels):
-    return float((logits.argmax(axis=1) == labels).mean())
 
 
 # ---------------------------------------------------------------- streaming moments

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import _atomic_write
 from .model import POST, PRE, forward, stat_key, wiring
 from .ops import Moments
 from .prune import _diag_fisher, prunable_keys
@@ -50,7 +51,7 @@ class LayerProbe:
                 "batch_count": self.batch_count}
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with _atomic_write(path) as fh:
             w = csv.writer(fh)
             w.writerow(("boundary",) + PROBE_COLUMNS)
             for bid, row in self.rows.items():

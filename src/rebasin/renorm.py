@@ -8,12 +8,12 @@ are stored as float32 model parameters.
 """
 import csv
 import itertools
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import _atomic_write
 from .model import PRE, LayerSpec, _check_same_arch, forward, wiring
 from .ops import DEAD_STD, Moments
 from .train import evaluate
@@ -60,7 +60,7 @@ class CurveReport:
     barriers: dict = field(default_factory=dict)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with _atomic_write(path) as fh:
             w = csv.writer(fh)
             w.writerow(["lambda", "train_loss", "train_acc", "test_loss", "test_acc"])
             for i, lam in enumerate(self.lams):
@@ -72,10 +72,6 @@ class CurveReport:
     def summary(self):
         return {"mode": self.mode, "sequential": self.sequential,
                 "points": len(self.lams), "barriers": dict(self.barriers)}
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------- interpolation

@@ -1,7 +1,6 @@
 """SGD training engine: initialization, schedules, the update loop, and the
 recipes that produce model pairs for merging experiments."""
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -9,6 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import ops
+from .checkpoint import _atomic_write
 from .model import WEIGHT_KINDS, _backward, _forward_cached, forward, stat_key
 
 _SCHEDULES = ("constant", "step", "cosine")
@@ -72,7 +72,7 @@ class TrainLog:
     l2_snaps: list = field(default_factory=list)  # (iteration, parameter L2 norm)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with _atomic_write(path) as fh:
             w = csv.writer(fh)
             w.writerow(["iteration", "lr", "loss"])
             for row in zip(self.iterations, self.lrs, self.losses):
@@ -86,10 +86,6 @@ class TrainLog:
             "final_test_acc": self.epoch_test_acc[-1] if self.epoch_test_acc else None,
             "epochs": len(self.epoch_train_acc),
         }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------- init

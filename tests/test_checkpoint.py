@@ -1,10 +1,14 @@
 """RBNC checkpoint format: bitwise roundtrip and corruption handling."""
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rebasin.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from rebasin.model import build_model, forward, mlp_descriptor
+from rebasin.model import (
+    PRE, LayerSpec, build_model, cnn_descriptor, forward, layer_tensors, mlp_descriptor)
 from helpers import bits_equal, models_bit_equal, rand_batch, seed_params, small_cnn_desc
 
 
@@ -90,23 +94,128 @@ def _unknown_kind(m):
     m.layers[1].kind = "gelu"
 
 
-@pytest.mark.parametrize("corrupt, message", [
-    (_short_bias, r"dense0\.b has shape \(1,\)"),
-    (lambda m: m.params.pop("dense1.w"), r"missing tensors \['dense1\.w'\]"),
-    (lambda m: m.params.update({"dense9.w": m.params["dense0.w"]}), "belongs to no layer"),
-    (_tracked_stats_of_wrong_width, r"stats\.b0\.mean has shape \(4,\)"),
-    (_boundary_map_disagrees, "boundary map"),
-    (_fan_in_disagrees, "do not compose"),
-    (_unknown_kind, "unknown layer kind"),
+def _hidden_layer_without_boundary(m):
+    m.layers[0].boundary = None
+    m.boundary_map = [("b1", 4)]
+
+
+def _boundary_named_twice(m):
+    m.layers[2].boundary = "b0"
+    m.boundary_map = [("b0", 5), ("b0", 4)]
+
+
+def _norm_after_relu(m):      # MLP_BN: dense0 bn0 relu0 dense1 ...
+    m.layers[1], m.layers[2] = m.layers[2], m.layers[1]
+
+
+def _norm_after_final_layer(m):
+    m.layers.append(LayerSpec("batchnorm", "bn9", channels=3))
+    m.params.update({k: np.full(shape, fill, dtype=np.float32)
+                     for k, (shape, fill) in layer_tensors(m.layers[-1]).items()})
+
+
+def _set(index, **fields):
+    def corrupt(m):
+        for k, v in fields.items():
+            setattr(m.layers[index], k, v)
+    return corrupt
+
+
+MLP = mlp_descriptor(6, [5, 4], 3)
+MLP_BN = mlp_descriptor(6, [5, 4], 3, norm="batchnorm")
+CNN = small_cnn_desc()    # conv0 bn0 relu0 pool0 conv1 bn1 relu1 pool1 flatten dense0
+
+
+@pytest.mark.parametrize("desc, corrupt, message", [
+    (MLP, _short_bias, r"dense0\.b has shape \(1,\)"),
+    (MLP, lambda m: m.params.pop("dense1.w"), r"missing tensors \['dense1\.w'\]"),
+    (MLP, lambda m: m.params.update({"dense9.w": m.params["dense0.w"]}),
+     "belongs to no layer"),
+    (MLP, _tracked_stats_of_wrong_width, r"stats\.b0\.mean has shape \(4,\)"),
+    (MLP, _boundary_map_disagrees, "boundary map"),
+    (MLP, _fan_in_disagrees, "do not compose"),
+    (MLP, _unknown_kind, "unknown layer kind"),
+    (CNN, _set(3, stride=0), "pool0: stride must be an integer >= 1"),
+    (CNN, _set(0, stride=0), "conv0: stride must be an integer >= 1"),
+    (CNN, _set(7, kernel=5), "pool1: maxpool2d output would be empty"),
+    (MLP_BN, _norm_after_relu, "bn0: batchnorm must directly follow"),
+    (MLP_BN, _norm_after_final_layer, "after the final weight layer"),
+    (MLP_BN, _set(1, eps=0.0), "bn0: eps must be positive"),
+    (MLP, _hidden_layer_without_boundary, "hidden weight layers carry a boundary"),
+    (MLP, _boundary_named_twice, "boundary map"),
 ], ids=["short_bias", "missing_tensor", "stray_tensor", "tracked_stats_width",
-        "boundary_map", "fan_in", "unknown_kind"])
-def test_load_rejects_tensors_that_disagree_with_layers(tmp_path, corrupt, message):
-    m = seed_params(build_model(mlp_descriptor(6, [5, 4], 3)), seed=10)
+        "boundary_map", "fan_in", "unknown_kind", "pool_stride_0", "conv_stride_0",
+        "pool_kernel_exceeds_input", "norm_after_relu", "norm_after_final_layer",
+        "eps_0", "hidden_layer_without_boundary", "boundary_named_twice"])
+def test_load_rejects_tensors_that_disagree_with_layers(tmp_path, desc, corrupt, message):
+    m = seed_params(build_model(desc), seed=10)
     corrupt(m)
     path = tmp_path / "m.rbnc"
     save_checkpoint(m, path)
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
+
+
+def _edit_header(path, edit):
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.dumps(edit(json.loads(blob[16:16 + hlen]))).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header
+                     + blob[16 + hlen:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: [h],
+    lambda h: {**h, "layers": 5},
+    lambda h: {**h, "layers": [5] + h["layers"][1:]},
+    lambda h: {**h, "tensors": [{k: v for k, v in t.items() if k != "shape"}
+                                for t in h["tensors"]]},
+    lambda h: {**h, "boundary_map": [["b0"]]},
+], ids=["header_is_array", "layers_not_a_list", "layer_not_an_object",
+        "tensor_without_shape", "boundary_map_entry_not_a_pair"])
+def test_load_rejects_malformed_header(tmp_path, edit):
+    path = tmp_path / "m.rbnc"
+    save_checkpoint(seed_params(build_model(MLP), seed=12), path)
+    _edit_header(path, edit)
+    with pytest.raises(CheckpointError, match="malformed header"):
+        load_checkpoint(path)
+
+
+def test_single_field_header_corruptions_load_whole_or_raise_checkpoint_error(tmp_path):
+    """Every header field of a convnet with BatchNorm and a hidden dense layer,
+    set to each odd value in turn: loading raises CheckpointError, or the
+    model it returns runs forward with every tap."""
+    desc = cnn_descriptor((2, 8, 8), [{"out": 3, "k": 3, "pool": 2},
+                                      {"out": 4, "k": 3, "stride": 2}], 3, dense_hidden=[5])
+    path = tmp_path / "m.rbnc"
+    save_checkpoint(seed_params(build_model(desc), seed=13), path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + hlen])
+    sites = [(sec, i, f) for sec in ("layers", "tensors")
+             for i, entry in enumerate(header[sec]) for f in entry]
+    sites += [(key, None, None) for key in ("input_shape", "boundary_map")]
+    x = rand_batch((2, 8, 8), 4, seed=14)
+    escaped = []
+    for sec, i, f in sites:
+        for value in (None, -1, 0, 2.5, "x", [], 1e300):
+            def edit(h):
+                if i is None:
+                    h[sec] = value
+                else:
+                    h[sec][i][f] = value
+                return h
+            path.write_bytes(blob)
+            _edit_header(path, edit)
+            try:
+                m = load_checkpoint(path)
+                with np.errstate(over="ignore"):    # eps 1e300 overflows float32
+                    forward(m, x, taps=[(b, PRE) for b, _ in m.boundary_map])
+            except CheckpointError:
+                pass
+            except Exception as e:  # collected, so one run lists every escape
+                escaped.append((sec, i, f, value, type(e).__name__))
+    assert escaped == []
 
 
 def test_load_accepts_tracked_boundary_stats(tmp_path):

@@ -8,13 +8,16 @@ import threading
 import numpy as np
 import pytest
 
+from rebasin import cli
 from rebasin.checkpoint import load_checkpoint, save_checkpoint
 from rebasin.cli import _new_run_dir, _write_json, main
 from rebasin.data import synth_blobs
 from rebasin.model import build_model, mlp_descriptor
-from rebasin.train import TrainConfig, init_params, train
+from rebasin.probes import PROBE_COLUMNS, LayerProbe
+from rebasin.renorm import CurveReport
+from rebasin.train import TrainConfig, TrainLog, init_params, train
 
-from helpers import models_bit_equal
+from helpers import models_bit_equal, small_cnn_desc
 
 BLOBS = {"kind": "blobs", "seed": 21, "n": 256, "dims": 8, "classes": 4,
          "spread": 0.45, "clusters_per_class": 2}
@@ -129,6 +132,43 @@ def test_failed_json_write_leaves_earlier_file_intact(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
 
+class _Unprintable:
+    def __repr__(self):
+        raise TypeError("cannot print this value")
+
+    __str__ = __repr__
+
+
+def _probe_rows(last):
+    return LayerProbe(rows={"b0": dict.fromkeys(PROBE_COLUMNS, 1.0),
+                            "b1": dict.fromkeys(PROBE_COLUMNS, last)})
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, last: TrainLog([0, 1], [0.1, 0.1], [2.0, last]).write_csv(path),
+    lambda path, last: CurveReport([0.0, 1.0], "none", False, [2.0, last],
+                                   [0.5, 0.5]).write_csv(path),
+    lambda path, last: _probe_rows(last).write_csv(path),
+], ids=["train_log", "curve_report", "layer_probe"])
+def test_failed_csv_write_leaves_earlier_file_intact(tmp_path, write):
+    path = tmp_path / "out.csv"
+    write(path, 1.0)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):   # the first rows are written when the last fails
+        write(path, _Unprintable())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+def test_failed_prune_csv_write_leaves_no_file(tmp_path, ckpts, monkeypatch):
+    monkeypatch.setattr(cli, "evaluate", lambda model, ds: (0.0, _Unprintable()))
+    cfg = write_cfg(tmp_path, checkpoint=ckpts[0], dataset=BLOBS,
+                    sparsities=[0.0, 0.5])
+    out = tmp_path / "runs"
+    assert main(["prune", "--config", cfg, "--out", str(out)]) == 2
+    assert sorted(os.listdir(out / "prune-000")) == ["config.json"]
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -154,6 +194,29 @@ def test_inconsistent_checkpoint_exits_2(tmp_path, ckpts):
     bad = str(tmp_path / "bad.rbnc")
     save_checkpoint(m, bad)
     cfg = write_cfg(tmp_path, checkpoint=bad, dataset=BLOBS)
+    assert main(["probe", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+
+
+def _pool_stride_0(path):
+    m = build_model(small_cnn_desc())
+    m.layers[3].stride = 0
+    save_checkpoint(m, path)
+
+
+def _header_is_array(path):
+    save_checkpoint(build_model(MODEL), path)
+    blob = path.read_bytes()
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    header = b"[" + blob[16:end] + b"]"
+    path.write_bytes(blob[:8] + len(header).to_bytes(8, "little") + header + blob[end:])
+
+
+@pytest.mark.parametrize("write_bad", [_pool_stride_0, _header_is_array],
+                         ids=["pool_stride_0", "header_is_array"])
+def test_malformed_checkpoint_exits_2(tmp_path, write_bad):
+    bad = tmp_path / "bad.rbnc"
+    write_bad(bad)
+    cfg = write_cfg(tmp_path, checkpoint=str(bad), dataset=BLOBS)
     assert main(["probe", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
 
 

@@ -200,6 +200,25 @@ def test_build_rejects_unknown_layer_key():
         build_model({"input_shape": [4], "layers": [{"kind": "dense", "out": 2, "outt": 3}]})
 
 
+def _conv_net(*middle, first=None):
+    first = first or {"kind": "conv2d", "out": 4, "k": 3}
+    return {"input_shape": [2, 8, 8],
+            "layers": [first, *middle, {"kind": "flatten"}, {"kind": "dense", "out": 2}]}
+
+
+@pytest.mark.parametrize("desc", [
+    _conv_net(first={"kind": "conv2d", "out": 4, "k": 3, "stride": 0}),
+    _conv_net(first={"kind": "conv2d", "k": 3}),
+    _conv_net({"kind": "relu"}, {"kind": "maxpool2d", "k": 2, "stride": 0}),
+    _conv_net({"kind": "relu"}, {"kind": "maxpool2d", "k": 7}),
+    _conv_net({"kind": "batchnorm", "eps": 0}, {"kind": "relu"}),
+], ids=["conv_stride_0", "conv_without_out", "pool_stride_0", "pool_exceeds_input",
+        "eps_0"])
+def test_build_rejects_bad_geometry(desc):
+    with pytest.raises(BuildError):
+        build_model(desc)
+
+
 def test_cnn_boundaries_and_shapes():
     m = build_model(small_cnn_desc())
     assert [u for _, u in m.boundary_map] == [5, 4]
