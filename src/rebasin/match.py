@@ -4,6 +4,8 @@ A PermSpec assigns one unit permutation per hidden boundary.  Vectors use
 gather convention: after applying vector v, new unit i is old unit v[i].
 Producer rows, attached normalization parameters, and consumer input columns
 move together, so applying any PermSpec leaves the network function unchanged.
+Which tensor axes move is written once, in _perm_axes; the same table drives
+apply_perm, weight_match's score matrices and its skip rule.
 """
 import warnings
 from dataclasses import dataclass, field
@@ -11,13 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lap import _warm_start, solve_lap
-from .model import POST, PRE, _check_same_arch, forward, wiring
+from .model import POST, PRE, _check_same_arch, forward, layer_tensors, stat_key, wiring
 from .ops import DEAD_STD, Moments
 from .probes import l2_distance
-
-_NORM_PARAM_SUFFIXES = ("gamma", "beta", "scale", "shift",
-                        "running_mean", "running_var")
-
 
 @dataclass
 class PermSpec:
@@ -77,6 +75,44 @@ def compose(p, q):
     return PermSpec(perms={bid: q.perms[bid][p.perms[bid]] for bid in p.perms})
 
 
+def _perm_axes(layers, wir):
+    """{bid: [(tensor name, axis)]}: every tensor axis a boundary's
+    permutation moves. The producer's and its normalization layers' tensors
+    and the tracked statistics move along axis 0, the consumer's weight along
+    axis 1. Tracked statistics are listed whether or not a model holds them.
+
+    Under the unit view (_unit_view) a tensor's axis counts the boundary's
+    units, so dense, conv and flatten-then-dense consumers need no case of
+    their own.
+    """
+    table = {}
+    for bid, b in wir.items():
+        names = [k for i in [b.producer] + b.norms for k in layer_tensors(layers[i])]
+        names += [f"stats.{bid}.mean", f"stats.{bid}.var"]
+        table[bid] = [(k, 0) for k in names] + [(f"{layers[b.consumer].name}.w", 1)]
+    return table
+
+
+def _unit_view(arr, axis, units):
+    """arr reshaped to (units, -1) for axis 0 and (rows, units, -1) for
+    axis 1. flatten keeps channel-major order, so each unit of a dense
+    consumer after a conv owns a contiguous block of columns."""
+    return arr.reshape(arr.shape[:axis] + (units, -1))
+
+
+def _gather(arr, axis, units, v):
+    """arr's unit view with unit i taken from unit v[i] along axis. Fancy
+    indexing, not np.take: the result's memory layout picks the BLAS path
+    of _score_matrix's products, and with it their last bits."""
+    return _unit_view(arr, axis, units)[(slice(None),) * axis + (v,)]
+
+
+def _others(axes, bid, name):
+    """(boundary, axis) of every other boundary's permutation on tensor name."""
+    return [(ob, ax) for ob, entries in axes.items() if ob != bid
+            for n, ax in entries if n == name]
+
+
 def apply_perm(model, spec):
     """New model with every boundary's units reordered by spec.
 
@@ -88,97 +124,33 @@ def apply_perm(model, spec):
     out = model.copy()
     wir = wiring(model)
     p = out.params
-    for bid, v in spec.perms.items():
-        b = wir[bid]
-        prod = model.layers[b.producer]
-        p[f"{prod.name}.w"] = p[f"{prod.name}.w"][v]
-        if f"{prod.name}.b" in p:
-            p[f"{prod.name}.b"] = p[f"{prod.name}.b"][v]
-        for ni in b.norms:
-            nname = model.layers[ni].name
-            for suf in _NORM_PARAM_SUFFIXES:
-                key = f"{nname}.{suf}"
-                if key in p:
-                    p[key] = p[key][v]
-        for key in (f"stats.{bid}.mean", f"stats.{bid}.var"):
-            if key in p:
-                p[key] = p[key][v]
-        cons = model.layers[b.consumer]
-        w = p[f"{cons.name}.w"]
-        if cons.kind == "dense":
-            # flatten keeps channel-major order, so each unit owns a
-            # contiguous block of consumer_spatial columns
-            w3 = w.reshape(w.shape[0], b.units, b.consumer_spatial)
-            p[f"{cons.name}.w"] = np.ascontiguousarray(w3[:, v, :]).reshape(w.shape)
-        else:
-            p[f"{cons.name}.w"] = np.ascontiguousarray(w[:, v])
+    for bid, entries in _perm_axes(model.layers, wir).items():
+        for name, axis in entries:
+            if name in p:
+                t = p[name]
+                p[name] = np.ascontiguousarray(
+                    _gather(t, axis, wir[bid].units, spec.perms[bid])).reshape(t.shape)
     return out
 
 
 # ---------------------------------------------------------------- weight matching
 
-def _feeder(wir, layer_idx):
-    for bid, b in wir.items():
-        if b.consumer == layer_idx:
-            return bid
-    return None
-
-
-def _neighbours(layers, wir, bid):
-    """(up, down): the boundaries whose permutations enter bid's score matrix,
-    the one feeding its producer and the one its consumer produces; None
-    where there is none."""
-    bnd = wir[bid]
-    return _feeder(wir, bnd.producer), layers[bnd.consumer].boundary
-
-
 def _score_matrix(layers, pa, pb, wir, bid, perms):
     """Cross inner products between a's units and b's units at one boundary,
     with b's other boundaries viewed through the current permutations.
-    pa and pb are the two models' parameters cast to float64."""
-    bnd = wir[bid]
-    up, down = _neighbours(layers, wir, bid)
-    units = bnd.units
+    pa and pb are the two models' parameters cast to float64. Measured
+    statistics stay out, as they do in l2_distance."""
+    axes = _perm_axes(layers, wir)
+    units = wir[bid].units
     score = np.zeros((units, units))
-
-    prod = layers[bnd.producer]
-    aw = pa[f"{prod.name}.w"]
-    bw = pb[f"{prod.name}.w"]
-    if up is not None:
-        vu = perms[up]
-        if prod.kind == "dense":
-            s_up = wir[up].consumer_spatial
-            bw = bw.reshape(units, len(vu), s_up)[:, vu, :]
-        else:
-            bw = bw[:, vu]
-    score += aw.reshape(units, -1) @ bw.reshape(units, -1).T
-
-    vec_keys = []
-    if f"{prod.name}.b" in pa:
-        vec_keys.append(f"{prod.name}.b")
-    for ni in bnd.norms:
-        nname = layers[ni].name
-        for suf in ("gamma", "beta", "scale", "shift"):  # running stats stay out
-            key = f"{nname}.{suf}"
-            if key in pa:
-                vec_keys.append(key)
-    for key in vec_keys:
-        score += np.outer(pa[key], pb[key])
-
-    cons = layers[bnd.consumer]
-    acw = pa[f"{cons.name}.w"]
-    bcw = pb[f"{cons.name}.w"]
-    if down is not None:
-        bcw = bcw[perms[down]]
-    if cons.kind == "dense":
-        s = bnd.consumer_spatial
-        a3 = acw.reshape(-1, units, s)
-        b3 = bcw.reshape(-1, units, s)
-        score += np.einsum("ous,ovs->uv", a3, b3)
-    else:
-        a3 = acw.reshape(acw.shape[0], units, -1)
-        b3 = bcw.reshape(bcw.shape[0], units, -1)
-        score += np.einsum("ouk,ovk->uv", a3, b3)
+    for name, axis in axes[bid]:
+        if name not in pa or stat_key(name):
+            continue
+        b = pb[name]
+        for ob, ax in _others(axes, bid, name):
+            b = _gather(b, ax, wir[ob].units, perms[ob])
+        a, b = _unit_view(pa[name], axis, units), _unit_view(b, axis, units)
+        score += a @ b.T if axis == 0 else np.einsum("ouk,ovk->uv", a, b)
     return score
 
 
@@ -205,7 +177,8 @@ def weight_match(model_a, model_b, seed=0, max_sweeps=100):
     perms = {bid: np.arange(n) for bid, n in model_a.boundary_map}
     pa = {k: v.astype(np.float64) for k, v in model_a.params.items()}
     pb = {k: v.astype(np.float64) for k, v in model_b.params.items()}
-    neighbours = {bid: [n for n in _neighbours(layers, wir, bid) if n is not None]
+    axes = _perm_axes(layers, wir)
+    neighbours = {bid: [ob for name, _ in axes[bid] for ob, _ in _others(axes, bid, name)]
                   for bid in bids}
     version = dict.fromkeys(bids, 0)   # bumped whenever a permutation changes
     solved_at = {}                      # neighbour versions at each last solve

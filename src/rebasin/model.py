@@ -83,7 +83,6 @@ class Boundary:
     norms: list
     pre_tap: int
     post_tap: int
-    consumer_spatial: int
 
 
 # ---------------------------------------------------------------- descriptors
@@ -125,7 +124,8 @@ def cnn_descriptor(input_shape, convs, num_classes, norm="batchnorm", dense_hidd
     return {"input_shape": list(input_shape), "layers": layers}
 
 
-# descriptor key -> (LayerSpec field, conversion)
+# descriptor key -> (LayerSpec field, field type); values of another type are
+# kept as given for _out_shape to reject
 _SPEC_FIELDS = {
     "in": ("n_in", int), "out": ("n_out", int), "k": ("kernel", int),
     "stride": ("stride", int), "pad": ("pad", int), "bias": ("has_bias", bool),
@@ -149,6 +149,19 @@ _NAME_PREFIX = {
     "flatten": "flatten", "batchnorm": "bn", "layernorm": "ln",
     "channel_affine": "affine",
 }
+
+
+_CONVERTIBLE = {int: (int, np.integer), float: (int, float, np.integer, np.floating),
+                bool: (bool, np.bool_)}
+
+
+def _convert(typ, value):
+    """value as typ when it is of a kind typ stands for (NumPy scalars
+    included; a bool is no number and a number no bool), else unchanged."""
+    is_bool = isinstance(value, (bool, np.bool_))
+    if isinstance(value, _CONVERTIBLE[typ]) and is_bool == (typ is bool):
+        return typ(value)
+    return value
 
 
 def layer_tensors(spec):
@@ -185,7 +198,7 @@ def build_model(descriptor):
     if extra:
         raise BuildError(f"unknown descriptor keys: {sorted(extra)}")
     try:
-        input_shape = tuple(int(d) for d in descriptor["input_shape"])
+        input_shape = tuple(_convert(int, d) for d in descriptor["input_shape"])
         raw_layers = list(descriptor["layers"])
     except (KeyError, TypeError) as e:
         raise BuildError(f"descriptor needs input_shape and layers: {e}") from None
@@ -205,7 +218,7 @@ def build_model(descriptor):
         idx = counters.get(kind, 0)
         counters[kind] = idx + 1
         spec = LayerSpec(kind, f"{_NAME_PREFIX[kind]}{idx}",
-                         **{_SPEC_FIELDS[k][0]: _SPEC_FIELDS[k][1](v)
+                         **{_SPEC_FIELDS[k][0]: _convert(_SPEC_FIELDS[k][1], v)
                             for k, v in entry.items() if k != "kind"})
         if kind in WEIGHT_KINDS and spec.n_in is None:
             spec.n_in = cur[0]       # a declared fan-in is checked by _out_shape
@@ -235,7 +248,8 @@ def build_model(descriptor):
 # ---------------------------------------------------------------- shape rules and wiring
 
 def _check_input_shape(shape):
-    if len(shape) not in (1, 3) or any(d < 1 for d in shape):
+    if len(shape) not in (1, 3) or any(isinstance(d, bool) or not isinstance(d, int)
+                                       or d < 1 for d in shape):
         raise BuildError(f"unsupported input shape {shape}")
     return shape
 
@@ -243,7 +257,7 @@ def _check_input_shape(shape):
 def _check_ints(spec, **lows):
     for field, low in lows.items():
         value = getattr(spec, field)
-        if not isinstance(value, int) or value < low:
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise BuildError(f"{spec.name}: {field} must be an integer >= {low}, "
                              f"got {value!r}")
 
@@ -253,13 +267,17 @@ def _out_shape(spec, shape):
     the per-kind geometry, written once. Raises BuildError when the layer
     does not fit that input or its own fields are out of range."""
     kind, name = spec.kind, spec.name
+    for field in ("has_bias", "affine", "batch_stats_in_eval"):
+        if not isinstance(getattr(spec, field), bool):
+            raise BuildError(f"{name}: {field} must be a bool, "
+                             f"got {getattr(spec, field)!r}")
     rank = {"dense": 1, "conv2d": 3, "maxpool2d": 3}.get(kind)
     if rank is not None and len(shape) != rank:
         raise BuildError(f"{name}: {kind} needs a rank-{rank} input, got {shape}")
     if kind in WEIGHT_KINDS:
         if spec.n_in != shape[0]:
             raise BuildError(f"{name}: fan-in {spec.n_in} != input {shape[0]}")
-        _check_ints(spec, n_out=1)
+        _check_ints(spec, n_in=1, n_out=1)
         if kind == "dense":
             return (spec.n_out,)
     if kind in ("conv2d", "maxpool2d"):
@@ -274,6 +292,11 @@ def _out_shape(spec, shape):
     if kind in NORM_KINDS:
         if spec.channels != shape[0]:
             raise BuildError(f"{name}: channels {spec.channels} != input {shape[0]}")
+        _check_ints(spec, channels=1)
+        for field in ("eps", "momentum"):
+            value = getattr(spec, field)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise BuildError(f"{name}: {field} must be a number, got {value!r}")
         if not spec.eps > 0:
             raise BuildError(f"{name}: eps must be positive, got {spec.eps!r}")
         return shape
@@ -321,15 +344,15 @@ def propagate_shapes(layers, input_shape):
 
 
 def wiring(model):
-    """Boundary bookkeeping: producer/consumer/norm indices and tap points."""
+    """Boundary bookkeeping: producer/consumer/norm indices and tap points.
+    Which tensor axes a boundary's permutation moves is match._perm_axes,
+    built from these indices."""
     layers = model.layers
-    shapes = propagate_shapes(layers, model.input_shape)
+    propagate_shapes(layers, model.input_shape)     # the indices assume it holds
     weight_idxs = [i for i, s in enumerate(layers) if s.kind in WEIGHT_KINDS]
-    units = dict(model.boundary_map)
     out = {}
-    for bid in units:
-        producer = next(i for i in weight_idxs
-                        if layers[i].boundary == bid and layers[i].kind in WEIGHT_KINDS)
+    for bid, units in model.boundary_map:
+        producer = next(i for i in weight_idxs if layers[i].boundary == bid)
         norms = [i for i, s in enumerate(layers)
                  if s.kind in NORM_KINDS and s.boundary == bid]
         consumer = next(i for i in weight_idxs if i > producer)
@@ -337,14 +360,9 @@ def wiring(model):
         post_tap = pre_tap
         if pre_tap + 1 < len(layers) and layers[pre_tap + 1].kind == "relu":
             post_tap = pre_tap + 1
-        in_shape = shapes[consumer - 1] if consumer > 0 else model.input_shape
-        if layers[consumer].kind == "dense":
-            spatial = in_shape[0] // units[bid]
-        else:
-            spatial = 1
-        out[bid] = Boundary(bid=bid, units=units[bid], producer=producer,
+        out[bid] = Boundary(bid=bid, units=units, producer=producer,
                             consumer=consumer, norms=norms, pre_tap=pre_tap,
-                            post_tap=post_tap, consumer_spatial=spatial)
+                            post_tap=post_tap)
     return out
 
 

@@ -18,7 +18,8 @@ from .model import PRE, LayerSpec, _check_same_arch, forward, wiring
 from .ops import DEAD_STD, Moments
 from .train import evaluate
 
-RENORM_MODES = ("none", "reset", "repair", "rescale", "rescale_avg", "reshift")
+REPAIR_MODES = ("repair", "rescale", "rescale_avg", "reshift")
+RENORM_MODES = ("none", "reset") + REPAIR_MODES
 _DEAD_EPS = 1e-5   # substituted in place of a dead channel's std
 
 
@@ -264,7 +265,7 @@ def repair(model, goals, dataset, mode="repair", sequential=False,
     by boundary, re-running data after each correction; otherwise one
     measurement pass covers all boundaries before any correction.
     """
-    if mode not in ("repair", "rescale", "rescale_avg", "reshift"):
+    if mode not in REPAIR_MODES:
         raise ValueError(f"unknown repair mode {mode!r}")
     bids = [bid for bid, _ in model.boundary_map]
     missing = [bid for bid in bids
@@ -272,11 +273,10 @@ def repair(model, goals, dataset, mode="repair", sequential=False,
     if missing:
         raise ValueError(f"goals missing boundaries: {missing}")
     out = model.copy()
-    order = sorted(bids, key=lambda b: wiring(out)[b].producer)
     units = dict(out.boundary_map)
     if not sequential:
         current = measure_stats(out, dataset, batch_size=batch_size)
-    for bid in order:
+    for bid in bids:     # boundary_map lists boundaries in producer order
         if sequential:
             current = measure_stats(out, dataset, batch_size=batch_size,
                                     boundaries=[bid])
@@ -355,7 +355,7 @@ def eval_curve(model_a, model_b, train_ds, test_ds=None, grid=None, quick=False,
         raise ValueError("grid must include both endpoints 0 and 1")
 
     goals_end = None
-    if mode in ("repair", "rescale", "rescale_avg", "reshift"):
+    if mode in REPAIR_MODES:
         goals_end = (measure_stats(model_a, train_ds, batch_size=stats_batch_size),
                      measure_stats(model_b, train_ds, batch_size=stats_batch_size))
 

@@ -143,10 +143,17 @@ CNN = small_cnn_desc()    # conv0 bn0 relu0 pool0 conv1 bn1 relu1 pool1 flatten 
     (MLP_BN, _set(1, eps=0.0), "bn0: eps must be positive"),
     (MLP, _hidden_layer_without_boundary, "hidden weight layers carry a boundary"),
     (MLP, _boundary_named_twice, "boundary map"),
+    (MLP, _set(0, has_bias="false"), "dense0: has_bias must be a bool"),
+    (MLP_BN, _set(1, affine="no"), "bn0: affine must be a bool"),
+    (MLP_BN, _set(1, batch_stats_in_eval="yes"), "bn0: batch_stats_in_eval must be a bool"),
+    (MLP_BN, _set(1, eps="0.001"), "bn0: eps must be a number"),
+    (CNN, _set(0, kernel=True), "conv0: kernel must be an integer"),
 ], ids=["short_bias", "missing_tensor", "stray_tensor", "tracked_stats_width",
         "boundary_map", "fan_in", "unknown_kind", "pool_stride_0", "conv_stride_0",
         "pool_kernel_exceeds_input", "norm_after_relu", "norm_after_final_layer",
-        "eps_0", "hidden_layer_without_boundary", "boundary_named_twice"])
+        "eps_0", "hidden_layer_without_boundary", "boundary_named_twice",
+        "has_bias_string", "affine_string", "batch_stats_in_eval_string",
+        "eps_string", "kernel_true"])
 def test_load_rejects_tensors_that_disagree_with_layers(tmp_path, desc, corrupt, message):
     m = seed_params(build_model(desc), seed=10)
     corrupt(m)

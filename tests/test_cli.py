@@ -182,6 +182,13 @@ def test_invalid_train_value_exits_2(tmp_path):
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
 
 
+def test_string_bias_in_model_exits_2(tmp_path):
+    first = {**MODEL["layers"][0], "bias": "false"}
+    cfg = write_cfg(tmp_path, dataset=BLOBS, train=TRAIN,
+                    model={**MODEL, "layers": [first] + MODEL["layers"][1:]})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+
+
 def test_missing_checkpoint_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, checkpoints=[str(tmp_path / "absent.rbnc"),
                                            str(tmp_path / "absent.rbnc")])

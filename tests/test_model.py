@@ -206,17 +206,44 @@ def _conv_net(*middle, first=None):
             "layers": [first, *middle, {"kind": "flatten"}, {"kind": "dense", "out": 2}]}
 
 
+def _dense_net(first, *middle):
+    return {"input_shape": [4],
+            "layers": [first, *middle, {"kind": "relu"}, {"kind": "dense", "out": 2}]}
+
+
 @pytest.mark.parametrize("desc", [
     _conv_net(first={"kind": "conv2d", "out": 4, "k": 3, "stride": 0}),
     _conv_net(first={"kind": "conv2d", "k": 3}),
     _conv_net({"kind": "relu"}, {"kind": "maxpool2d", "k": 2, "stride": 0}),
     _conv_net({"kind": "relu"}, {"kind": "maxpool2d", "k": 7}),
     _conv_net({"kind": "batchnorm", "eps": 0}, {"kind": "relu"}),
+    _dense_net({"kind": "dense", "out": 2.7, "bias": "false"}),
+    _dense_net({"kind": "dense", "out": 2.7}),
+    _dense_net({"kind": "dense", "out": 2, "bias": "false"}),
+    _dense_net({"kind": "dense", "out": True}),
+    _dense_net({"kind": "dense", "out": "3"}),
+    _dense_net({"kind": "dense", "out": 3}, {"kind": "batchnorm", "affine": "false"}),
+    _dense_net({"kind": "dense", "out": 3}, {"kind": "batchnorm", "eps": "0.001"}),
+    _conv_net(first={"kind": "conv2d", "out": 4, "k": True}),
+    {**_dense_net({"kind": "dense", "out": 2}), "input_shape": [4.9]},
+    {**_dense_net({"kind": "dense", "out": 2}), "input_shape": ["4"]},
 ], ids=["conv_stride_0", "conv_without_out", "pool_stride_0", "pool_exceeds_input",
-        "eps_0"])
+        "eps_0", "out_float_bias_string", "out_float", "bias_string", "out_true",
+        "out_string", "affine_string", "eps_string", "kernel_true", "input_float",
+        "input_string"])
 def test_build_rejects_bad_geometry(desc):
     with pytest.raises(BuildError):
         build_model(desc)
+
+
+def test_build_converts_numpy_scalars():
+    desc = _dense_net({"kind": "dense", "out": np.int64(3), "bias": np.bool_(False)},
+                      {"kind": "batchnorm", "eps": np.float32(0.5), "affine": np.True_})
+    m = build_model(desc)
+    assert m.layers[0] == build_model(_dense_net(
+        {"kind": "dense", "out": 3, "bias": False}, {"kind": "batchnorm"})).layers[0]
+    assert type(m.layers[0].n_out) is int and m.layers[0].has_bias is False
+    assert type(m.layers[1].eps) is float and m.layers[1].affine is True
 
 
 def test_cnn_boundaries_and_shapes():
