@@ -5,10 +5,13 @@ one matrix, with `scipy.optimize.linear_sum_assignment` alongside when scipy
 is installed (scipy is never a dependency of the library). The kinds are
 uniform random costs, the all-zero cost, a rank-1 cost outer(a, b) of
 uniform vectors (the last two are the degenerate shapes dead units produce),
-and `corr`, a correlation cost like the ones `activation_match` maximizes:
+`corr`, a correlation cost like the ones `activation_match` maximizes:
 two ReLU activation sets driven by one shared latent, some of whose units
-never fire and get zero rows and columns. Every cost is generated here from
-a seed, so nothing is downloaded.
+never fire and get zero rows and columns, and `warm`, that `corr` cost
+perturbed by 5 % relative noise and solved from the column duals the `corr`
+solve ended at, as `weight_match` re-solves a boundary whose cost moved
+(scipy, which takes no duals, solves it cold). Every cost is generated here
+from a seed, so nothing is downloaded.
 
     python3 scripts/bench_lap.py [--sizes 64 128 256 512 1024]
 """
@@ -23,7 +26,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from rebasin.lap import solve_lap
+from rebasin.lap import _warm_start, solve_lap
 from rebasin.ops import DEAD_STD
 
 try:
@@ -34,6 +37,7 @@ except ImportError:
 REPEATS = 3
 CORR_SAMPLES = 1024
 CORR_DEAD_FRAC = 0.08   # share of each set's units that never fire
+WARM_NOISE = 0.05       # relative change of the warm row's cost
 
 
 def corr_cost(n, rng):
@@ -62,12 +66,18 @@ def corr_cost(n, rng):
 
 
 def costs(n, seed=0):
-    """(kind, cost, maximize) triples."""
+    """(kind, cost, maximize, duals) tuples: duals are the column duals a
+    warm solve starts from, None for a cold one."""
     rng = np.random.default_rng(seed)
-    yield "random", rng.random((n, n)), False
-    yield "zero", np.zeros((n, n)), False
-    yield "rank1", np.outer(rng.random(n), rng.random(n)), False
-    yield "corr", corr_cost(n, rng), True
+    yield "random", rng.random((n, n)), False, None
+    yield "zero", np.zeros((n, n)), False, None
+    yield "rank1", np.outer(rng.random(n), rng.random(n)), False, None
+    corr = corr_cost(n, rng)
+    yield "corr", corr, True, None
+    first = _warm_start(corr, None)
+    solve_lap(first, sense="maximize")
+    moved = corr * (1.0 + WARM_NOISE * rng.standard_normal((n, n)))
+    yield "warm", moved, True, first.duals
 
 
 def median_ms(fn, cost):
@@ -92,9 +102,10 @@ def main():
         header += f"{'scipy':>10}"
     print(header)
     for n in args.sizes:
-        for kind, cost, maximize in costs(n):
+        for kind, cost, maximize, duals in costs(n):
             sense = "maximize" if maximize else "minimize"
-            ms = median_ms(lambda c: solve_lap(c, sense=sense), cost)
+            ms = median_ms(lambda c: solve_lap(
+                c if duals is None else _warm_start(c, duals), sense=sense), cost)
             row = f"{kind:<8}{n:>6}{ms:>12.1f}"
             if linear_sum_assignment is not None:
                 ms = median_ms(lambda c: linear_sum_assignment(c, maximize=maximize), cost)

@@ -5,6 +5,9 @@ The solver (Jonker & Volgenant 1987) finds optimal column dual potentials v
 in three phases: column reduction with reduction transfer, two passes of
 augmenting row reduction, and shortest augmenting paths for the rows still
 free. Each phase works on whole rows of reduced costs ``cost[i] - v`` at once.
+The shortest-path search relaxes the open columns once per finalized
+column, tied columns in one reduction, and rebuilds predecessors for the
+augmenting path only, so each of its steps is a handful of NumPy calls.
 
 Among all assignments within a tolerance tol (1e-9 of the largest |cost|) of
 the optimum, the lexicographically smallest permutation is returned, with
@@ -26,10 +29,6 @@ weight matching's.
 from dataclasses import dataclass
 
 import numpy as np
-
-# the ufunc reduce skips ndarray.min's Python wrapper; the solver calls it
-# once or twice per search step
-_min = np.minimum.reduce
 
 
 @dataclass
@@ -131,37 +130,81 @@ def _augmenting_row_reduction(cost, free, x, y, v):
 def _augment(cost, i, x, y, v):
     """Assign free row i along a shortest augmenting path (Dijkstra on the
     reduced costs cost - v), then lower v on the columns whose distance was
-    final so every assigned row keeps its column as a reduced-row minimum."""
+    final so every assigned row keeps its column as a reduced-row minimum.
+
+    Each step finalizes the open columns at the least distance and relaxes
+    the open ones through their owners once: one row for a single column,
+    one (k, n) minimum for k tied columns. The search keeps no predecessors.
+    It logs each scanned row instead, and once the free end is found it
+    rebuilds the predecessors of the path's columns alone. A column's
+    predecessor is the first row in scan order, starting with i, that
+    reaches it at its distance among the rows scanned before it became
+    final: the row a strict `<` update on every relaxation would have kept.
+    """
     n = cost.shape[0]
     open_dist = cost[i] - v             # +inf once a column's distance is final
-    dist = np.full(n, np.inf)           # final distances
     v_open = v.copy()                   # -inf on final columns, so they never relax
-    pred = np.full(n, i, dtype=np.int64)
+    # per scanned row in scan order: the row, its offset (distance to its
+    # column less that column's reduced cost), and how many rows were
+    # scanned before its column became final; i comes first, offset 0
+    rows, offsets, before = [i], [0.0], [0]
+    dists = []                          # each scanned row's column's distance
     while True:
-        mind = _min(open_dist)
+        j = open_dist.argmin()
+        mind = open_dist.item(j)
         todo = (open_dist == mind).nonzero()[0]
-        owners = y[todo]
-        if _min(owners) < 0:
-            end = todo[owners.argmin()]
-            break
-        dist[todo] = mind
-        open_dist[todo] = np.inf
-        v_open[todo] = -np.inf
-        # relax every open column through the owner of each new final column
-        for j, r in zip(todo, owners):
+        if len(todo) == 1:
+            r = y.item(j)
+            if r < 0:
+                end = j
+                break
+            open_dist[j] = np.inf
+            v_open[j] = -np.inf
+            owners, offs = [r], [mind - (cost.item(r, j) - v.item(j))]
             via = cost[r] - v_open
-            via += mind - (cost[r, j] - v[j])
-            better = via < open_dist
-            np.copyto(open_dist, via, where=better)
-            np.copyto(pred, r, where=better)
-    v += np.minimum(dist - mind, 0.0)
-    j = end
-    while True:
-        r = pred[j]
+            via += offs[0]
+        else:
+            owners = y[todo]
+            k = owners.argmin()
+            if owners[k] < 0:
+                end = todo[k]
+                break
+            open_dist[todo] = np.inf
+            v_open[todo] = -np.inf
+            offs = mind - (cost[owners, todo] - v[todo])
+            via = cost[owners] - v_open
+            via += offs[:, None]
+            # reduced last row first, so that the earliest row wins a tie,
+            # as under `<`: np.minimum returns its second operand on equal
+            # inputs, which only a zero's sign tells apart
+            via = np.minimum.reduce(via[::-1])
+            owners, offs = owners.tolist(), offs.tolist()
+        # open_dist keeps its value on a tie, as under `<`
+        np.minimum(via, open_dist, out=open_dist)
+        before += [len(rows)] * len(owners)
+        rows += owners
+        offsets += offs
+        dists += [mind] * len(owners)
+    rows = np.array(rows)
+    offsets = np.array(offsets)
+    dist = np.full(n, np.inf)           # final distances
+    dist[x[rows[1:]]] = dists
+    # walk back from the free end, each column's predecessor among the rows
+    # logged before it became final
+    j, m = end, len(rows)
+    while m > 1:
+        via = cost[rows[:m], j] - v[j]
+        via += offsets[:m]
+        p = via.argmin()
+        if p == 0:
+            break
+        r = rows[p]
         y[j] = r
         x[r], j = j, x[r]
-        if r == i:
-            break
+        m = before[p]
+    y[j] = i
+    x[i] = j
+    v += np.minimum(dist - mind, 0.0)
 
 
 def _jv_solve(cost, v=None):

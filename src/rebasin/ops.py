@@ -211,7 +211,8 @@ def batchnorm_bwd(cache, dy):
     dbeta = dy.sum(axis=axes) if gamma is not None else None
     g = dy if gamma is None else dy * chanview(gamma, dy.ndim)
     if use_batch:
-        m = np.prod([dy.shape[a] for a in axes])
+        # a Python int: a NumPy int64 would promote float32 dy to float64
+        m = int(np.prod([dy.shape[a] for a in axes]))
         dx = chanview(inv, dy.ndim) * (
             g - chanview(g.sum(axis=axes) / m, dy.ndim)
             - xhat * chanview((g * xhat).sum(axis=axes) / m, dy.ndim))

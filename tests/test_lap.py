@@ -1,13 +1,29 @@
 """Linear assignment: exactness vs brute force and scipy, determinism of
 tie-breaking, and degenerate costs at sizes brute force cannot reach."""
 import itertools
+import runpy
 import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rebasin import lap
 from rebasin.lap import _lex_min_matching, _tie_break, _warm_start, solve_lap
+
+
+def _load_corr_cost():
+    path = list(sys.path)       # the script prepends src/
+    try:
+        script = Path(__file__).resolve().parent.parent / "scripts" / "bench_lap.py"
+        return runpy.run_path(str(script), run_name="bench_lap")["corr_cost"]
+    finally:
+        sys.path[:] = path
+
+
+corr_cost = _load_corr_cost()
 
 
 def brute_force(cost, sense):
@@ -239,3 +255,108 @@ def test_objective_matches_scipy(sense):
         rows, cols = optimize.linear_sum_assignment(cost, maximize=sense == "maximize")
         want = float(cost[rows, cols].sum())
         assert abs(got.objective - want) <= 1e-9 * max(1.0, abs(want)), label
+
+
+# ------------------------------------------------- shortest-path search oracle
+
+_min = np.minimum.reduce
+
+
+def _augment_reference(cost, i, x, y, v):
+    """Reference only: the shortest augmenting path search as it was before
+    it stopped keeping predecessors during the search. One relaxation per
+    owner row, each updating `pred` where it is strictly shorter."""
+    n = cost.shape[0]
+    open_dist = cost[i] - v             # +inf once a column's distance is final
+    dist = np.full(n, np.inf)           # final distances
+    v_open = v.copy()                   # -inf on final columns, so they never relax
+    pred = np.full(n, i, dtype=np.int64)
+    while True:
+        mind = _min(open_dist)
+        todo = (open_dist == mind).nonzero()[0]
+        owners = y[todo]
+        if _min(owners) < 0:
+            end = todo[owners.argmin()]
+            break
+        dist[todo] = mind
+        open_dist[todo] = np.inf
+        v_open[todo] = -np.inf
+        # relax every open column through the owner of each new final column
+        for j, r in zip(todo, owners):
+            via = cost[r] - v_open
+            via += mind - (cost[r, j] - v[j])
+            better = via < open_dist
+            np.copyto(open_dist, via, where=better)
+            np.copyto(pred, r, where=better)
+    v += np.minimum(dist - mind, 0.0)
+    j = end
+    while True:
+        r = pred[j]
+        y[j] = r
+        x[r], j = j, x[r]
+        if r == i:
+            break
+
+
+def _oracle_solve(cost, sense, duals):
+    """solve_lap from duals (None: cold), with every shortest-path search
+    checked against the reference from the same state: x, y and v (by
+    value). The perm and end duals must equal a solve by the reference
+    alone. Returns (end duals, rows searched)."""
+    real = lap._augment
+    searches = []
+
+    def checked(cost, i, x, y, v):
+        want = x.copy(), y.copy(), v.copy()
+        _augment_reference(cost, i, *want)
+        real(cost, i, x, y, v)
+        for got, ref in zip((x, y, v), want):
+            np.testing.assert_array_equal(got, ref)
+        searches.append(i)
+
+    got, ref = _warm_start(cost, duals), _warm_start(cost, duals)
+    with mock.patch.object(lap, "_augment", checked):
+        perm = solve_lap(got, sense).perm
+    with mock.patch.object(lap, "_augment", _augment_reference):
+        np.testing.assert_array_equal(perm, solve_lap(ref, sense).perm)
+    np.testing.assert_array_equal(got.duals, ref.duals)
+    return got.duals, searches
+
+
+def _drawn_cost(kind, n, dead, rng):
+    if kind == "int03":
+        cost = rng.integers(0, 4, (n, n)).astype(np.float64)
+    elif kind == "rank1":
+        cost = np.outer(rng.random(n), rng.random(n))
+    else:
+        cost = corr_cost(n, rng)
+    # dead units: zero rows and columns, as activation statistics give them
+    cost[rng.random(n) < dead] = 0.0
+    cost[:, rng.random(n) < dead] = 0.0
+    return cost
+
+
+def _check_cold_then_warm(cost, sense, rng):
+    """Returns how many searches the cold and the warm solve ran."""
+    duals, cold = _oracle_solve(cost, sense, None)
+    # a warm re-solve of a slightly changed cost, as weight matching makes
+    moved = np.where(rng.random(cost.shape) < 0.2, np.roll(cost, 1, axis=1), cost)
+    _, warm = _oracle_solve(moved, sense, duals)
+    return len(cold), len(warm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["int03", "rank1", "corr"]), n=st.integers(1, 24),
+       dead=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1),
+       sense=st.sampled_from(["minimize", "maximize"]))
+def test_search_matches_reference_on_drawn_costs(kind, n, dead, seed, sense):
+    rng = np.random.default_rng(seed)
+    _check_cold_then_warm(_drawn_cost(kind, n, dead, rng), sense, rng)
+
+
+@pytest.mark.parametrize("kind", ["int03", "rank1", "corr"])
+def test_search_matches_reference_at_width_128(kind):
+    rng = np.random.default_rng(10)
+    cost = _drawn_cost(kind, 128, 0.1, rng)
+    cold, warm = _check_cold_then_warm(cost, "maximize" if kind == "corr" else "minimize", rng)
+    assert cold > 0 and warm > 0

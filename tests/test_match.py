@@ -23,7 +23,7 @@ from rebasin.match import (
 )
 from rebasin.model import build_model, forward, mlp_descriptor, wiring
 from rebasin.probes import l2_distance
-from rebasin.renorm import measure_stats, repair
+from rebasin.renorm import REPAIR_MODES, goal_stats, interpolate, measure_stats, repair
 from helpers import large_mean, models_bit_equal, rand_batch, seed_params, small_cnn_desc
 
 
@@ -290,6 +290,33 @@ def test_matching_and_repair_share_the_dead_unit_rule():
     assert np.all(stats["b0"]["corr"][2, :] == 0.0)
     with pytest.warns(UserWarning, match="dead channels"):
         repair(a, measure_stats(a, ds, batch_size=64), ds, batch_size=64)
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+@pytest.mark.filterwarnings("ignore:.*(zero variance|dead channels)")
+def test_boundary_with_every_unit_dead(layer):
+    # fault injection: no unit of one boundary ever fires in either net
+    a, b = mlp(40, widths=(48, 40)), mlp(41, widths=(48, 40))
+    for m in (a, b):
+        m.params[f"dense{layer}.w"][:] = 0.0
+        m.params[f"dense{layer}.b"][:] = -5.0
+    bid = f"b{layer}"
+    ds = _dataset_for(7, seed=5)
+    assert np.all(streaming_activation_stats(a, b, ds, batch_size=64)[bid]["corr"] == 0.0)
+    x = rand_batch((7,), 16, seed=6)
+    for spec, _ in (weight_match(a, b), activation_match(a, b, ds, batch_size=64)):
+        for other, perm in spec.perms.items():
+            assert sorted(perm) == list(range(dict(b.boundary_map)[other]))
+        aligned = apply_perm(b, spec)
+        np.testing.assert_array_equal(forward(aligned, x), forward(b, x))
+        mid = interpolate(a, aligned, 0.5)
+        goals = goal_stats(a, aligned, 0.5, ds, batch_size=64)
+        for mode in REPAIR_MODES:
+            for sequential in (False, True):
+                fixed = repair(mid, goals, ds, mode=mode, sequential=sequential,
+                               batch_size=64)
+                assert all(np.all(np.isfinite(t)) for t in fixed.params.values())
+                assert np.all(np.isfinite(forward(fixed, ds.inputs[:32])))
 
 
 def test_activation_match_needs_two_batches():

@@ -421,3 +421,24 @@ def test_remove_bias_finetune_on_biasfree_model():
     m = init_params(build_model(desc), "kaiming_uniform", seed=1)
     out = remove_bias_finetune(m, ds, epochs=4, lr=0.05, batch_size=64)
     assert not any(k.endswith(".b") for k in out.params)
+
+
+def test_batchnorm_training_backward_keeps_float32(monkeypatch):
+    # every layer's backward, BatchNorm's and the ones below it included,
+    # returns float32 for a float32 net; the Fisher pass's squared gradients
+    # are float64 by design and do not run here
+    m = init_params(build_model(small_cnn_desc(in_shape=(1, 8, 8), classes=4)),
+                    "kaiming_normal", seed=3)
+    ds = blobs(seed=2, n=64, dims=64, image_shape=(1, 8, 8))
+    seen = []
+    for name in ("dense_bwd", "conv2d_bwd", "relu_bwd", "maxpool_bwd", "batchnorm_bwd"):
+        def record(*args, fn=getattr(ops, name), name=name):
+            out = fn(*args)
+            seen.extend((name, a.dtype) for a in (out if isinstance(out, tuple) else (out,)))
+            return out
+        monkeypatch.setattr(ops, name, record)
+    _, grads = loss_and_grads(m, ds.inputs[:32], ds.labels[:32])
+    assert {name for name, _ in seen} == {"dense_bwd", "conv2d_bwd", "relu_bwd",
+                                           "maxpool_bwd", "batchnorm_bwd"}
+    assert all(dtype == np.float32 for _, dtype in seen), seen
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
