@@ -8,6 +8,9 @@ own layer table, and times each layer: `fwd` is its forward with batch
 statistics (and its backward cache), `bwd` its backward from the gradient the
 layer above passed down, and `fisher` the backward of the diagonal-Fisher
 pass, which sums squared per-sample weight gradients (weight layers only).
+A last table times `repair` of the same net to its own statistics on 4
+random batches of each size: `sequential` (one corrected boundary after
+another) against `single` (one measurement pass for all boundaries).
 Each figure is the median of N calls in ms.
 
     python3 scripts/bench_kernels.py [--batches 32 256 512] [--repeats 7]
@@ -23,9 +26,13 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from rebasin.data import Dataset
 from rebasin.model import WEIGHT_KINDS, _backward, _layer_fwd, build_model, cnn_descriptor
 from rebasin.ops import softmax_cross_entropy
+from rebasin.renorm import measure_stats, repair
 from rebasin.train import init_params
+
+REPAIR_BATCHES = 4
 
 
 def convnet():
@@ -69,6 +76,17 @@ def layer_rows(model, batch, repeats):
     return rows
 
 
+def repair_ms(model, batch, repeats):
+    """[sequential, single] repair ms on REPAIR_BATCHES random batches."""
+    rng = np.random.default_rng(batch)
+    n = REPAIR_BATCHES * batch
+    ds = Dataset(rng.standard_normal((n,) + tuple(model.input_shape)).astype(np.float32),
+                 np.zeros(n, dtype=np.int64), 10)
+    goals = measure_stats(model, ds, batch_size=batch)
+    return [median_ms(lambda: repair(model, goals, ds, sequential=seq, batch_size=batch),
+                      repeats) for seq in (True, False)]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -90,6 +108,11 @@ def main():
                   f"{batch:>7}{cells}", flush=True)
         print(f"{'total':<10}{'':<11}{'':>12}{batch:>7}"
               + "".join(f"{v:>9.2f}" for v in totals), flush=True)
+    print(f"{'# repair':<10}{'batches':>9}{'batch':>7}{'sequential':>12}{'single':>9}")
+    for batch in args.batches:
+        seq, single = repair_ms(model, batch, args.repeats)
+        print(f"{'repair':<10}{REPAIR_BATCHES:>9}{batch:>7}{seq:>12.2f}{single:>9.2f}",
+              flush=True)
 
 
 if __name__ == "__main__":

@@ -441,8 +441,12 @@ def _update_tracked(params, bid, value):
 
 
 def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
-          collect_norm_stats=None):
+          collect_norm_stats=None, start=0, stop=None):
     """The one layer loop: returns (output, {(bid, phase): tapped value}).
+
+    start and stop walk layers [start, stop) only (default: all of them): x
+    is then the input of layer start, and the output the input of layer stop.
+    Splitting a walk at any index gives bitwise the whole walk's values.
 
     batch_stats puts every batchnorm on batch (True) or running (False)
     statistics; None leaves the choice to each layer's batch_stats_in_eval.
@@ -465,7 +469,9 @@ def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
 
     captured = {}
     cur = x
-    for idx, spec in enumerate(model.layers):
+    layers = model.layers
+    for idx in range(start, len(layers) if stop is None else stop):
+        spec = layers[idx]
         use_batch = spec.batch_stats_in_eval if batch_stats is None else batch_stats
         cur, cache = _layer_fwd(spec, p, cur, use_batch, update_stats,
                                 collect_norm_stats)
@@ -483,6 +489,15 @@ def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
     return cur, captured
 
 
+def _check_batch(model, x):
+    """x as an array, once its shape is a batch of model's inputs."""
+    x = np.asarray(x)
+    if x.ndim < 2 or tuple(x.shape[1:]) != tuple(model.input_shape):
+        raise ValueError(
+            f"batch shape {x.shape[1:]} does not match input shape {model.input_shape}")
+    return x
+
+
 def forward(model, x, taps=None, mode="eval", update_stats=None,
             collect_norm_stats=None):
     """Evaluate the model on a batch.
@@ -496,10 +511,7 @@ def forward(model, x, taps=None, mode="eval", update_stats=None,
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if update_stats is None:
         update_stats = mode == "train"
-    x = np.asarray(x)
-    if x.ndim < 2 or tuple(x.shape[1:]) != tuple(model.input_shape):
-        raise ValueError(
-            f"batch shape {x.shape[1:]} does not match input shape {model.input_shape}")
+    x = _check_batch(model, x)
 
     requests = [tuple(t) for t in taps] if taps is not None else []
     units = dict(model.boundary_map)

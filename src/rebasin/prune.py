@@ -222,5 +222,6 @@ def post_prune_repair(pruned, original, dataset, mode="reset", batch_size=256,
         goals = measure_stats(original, dataset, batch_size=batch_size,
                               max_batches=max_batches)
         return repair(pruned, goals, dataset, mode="repair",
-                      sequential=sequential, batch_size=batch_size)
+                      sequential=sequential, batch_size=batch_size,
+                      max_batches=max_batches)
     raise ValueError(f"unknown repair mode {mode!r}")

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import _atomic_write
-from .model import PRE, LayerSpec, _check_same_arch, forward, wiring
+from .model import (PRE, LayerSpec, _check_batch, _check_same_arch, _walk,
+                    forward, wiring)
 from .ops import DEAD_STD, Moments
 from .train import evaluate
 
@@ -116,6 +117,20 @@ def interpolate(model_a, model_b, lam):
 
 # ---------------------------------------------------------------- statistics
 
+def _channel_rows(v):
+    """A boundary activation as (samples, channels) rows: a conv map's
+    spatial positions count as samples."""
+    if v.ndim == 4:
+        return v.transpose(0, 2, 3, 1).reshape(-1, v.shape[1])
+    return v
+
+
+def _stat_batches(dataset, batch_size, max_batches):
+    """The input batches every statistics pass reads, in order."""
+    return (xb for xb, _ in itertools.islice(
+        dataset.batches(batch_size, shuffle=False, drop_last=True), max_batches))
+
+
 def measure_stats(model, dataset, batch_size=256, boundaries=None, phase=PRE,
                   max_batches=None):
     """Per-channel mean and std of boundary activations over the dataset.
@@ -130,14 +145,10 @@ def measure_stats(model, dataset, batch_size=256, boundaries=None, phase=PRE,
     taps = [(bid, phase) for bid in bids]
     moments = {bid: Moments() for bid in bids}
     nb = 0
-    for xb, _ in itertools.islice(
-            dataset.batches(batch_size, shuffle=False, drop_last=True), max_batches):
+    for xb in _stat_batches(dataset, batch_size, max_batches):
         _, tap_vals = forward(model, xb, taps=taps)
         for tap in tap_vals:
-            v = tap.value
-            if v.ndim == 4:
-                v = v.transpose(0, 2, 3, 1).reshape(-1, v.shape[1])
-            moments[tap.boundary_id].add(v)
+            moments[tap.boundary_id].add(_channel_rows(tap.value))
         nb += 1
     if nb == 0:
         raise ValueError("dataset smaller than one batch")
@@ -200,8 +211,7 @@ def reset_bn(model, dataset, batch_size=256, max_batches=None):
         out.params[f"{name}.running_var"][:] = 1.0
     sink = {}
     nb = 0
-    for xb, _ in itertools.islice(
-            dataset.batches(batch_size, shuffle=False, drop_last=True), max_batches):
+    for xb in _stat_batches(dataset, batch_size, max_batches):
         forward(out, xb, mode="train", update_stats=False, collect_norm_stats=sink)
         nb += 1
     if nb == 0:
@@ -226,11 +236,13 @@ def _next_name(model, prefix):
 
 
 def _insert_after_pre_tap(model, bid, spec, tensors):
-    """Insert a correction layer at the end of bid's pre-activation chain."""
+    """Insert a correction layer at the end of bid's pre-activation chain;
+    returns its layer index."""
     pos = wiring(model)[bid].pre_tap + 1
     spec.boundary = bid
     model.layers.insert(pos, spec)
     model.params.update(tensors)
+    return pos
 
 
 def _correction(mode, mu, sigma, goal_mean, goal_std):
@@ -254,16 +266,29 @@ def _correction(mode, mu, sigma, goal_mean, goal_std):
     return s, t
 
 
+def _eval_walk(model, x, start=0, stop=None):
+    """x walked through layers [start, stop) as an eval forward walks them."""
+    return _walk(model, x, batch_stats=None, update_stats=False, track=False,
+                 start=start, stop=stop)[0]
+
+
 def repair(model, goals, dataset, mode="repair", sequential=False,
-           batch_size=256):
+           batch_size=256, max_batches=None):
     """Attach per-channel affine corrections so every hidden boundary's
     pre-activation statistics move toward the goal statistics.
 
     repair: (x - mu)/sigma * goal_std + goal_mean; rescale: x/sigma * goal_std;
     rescale_avg: rescale with the per-boundary scalar mean of goal_std;
-    reshift: x - mu + goal_mean.  sequential re-measures (mu, sigma) boundary
-    by boundary, re-running data after each correction; otherwise one
-    measurement pass covers all boundaries before any correction.
+    reshift: x - mu + goal_mean.  (mu, sigma) are measured as measure_stats
+    measures them, on the first max_batches batches (all by default).
+
+    One pass measures every boundary before any correction.  sequential
+    measures each boundary after correcting the ones before it, still in one
+    pass over the data: it keeps every batch's activation at the last
+    corrected boundary and resumes the walk there, so it holds one
+    boundary's activations over max_batches batches at a time.  Its last
+    walk, to the logits, checks every layer of the result for non-finite
+    values.
     """
     if mode not in REPAIR_MODES:
         raise ValueError(f"unknown repair mode {mode!r}")
@@ -274,20 +299,38 @@ def repair(model, goals, dataset, mode="repair", sequential=False,
         raise ValueError(f"goals missing boundaries: {missing}")
     out = model.copy()
     units = dict(out.boundary_map)
-    if not sequential:
-        current = measure_stats(out, dataset, batch_size=batch_size)
+    if sequential:
+        acts = None
+    else:
+        current = measure_stats(out, dataset, batch_size=batch_size,
+                                max_batches=max_batches)
     for bid in bids:     # boundary_map lists boundaries in producer order
         if sequential:
-            current = measure_stats(out, dataset, batch_size=batch_size,
-                                    boundaries=[bid])
-        s, t = _correction(mode, current.means[bid], current.stds[bid],
-                           goals.means[bid], goals.stds[bid])
+            stop = wiring(out)[bid].pre_tap + 1
+            if acts is None:     # stream the inputs, keep bid's activations
+                acts = [_eval_walk(out, _check_batch(out, xb), stop=stop)
+                        for xb in _stat_batches(dataset, batch_size, max_batches)]
+                if not acts:
+                    raise ValueError("dataset smaller than one batch")
+            else:        # resume at the last correction, in place
+                for k, v in enumerate(acts):
+                    acts[k] = _eval_walk(out, v, start, stop)
+            moments = Moments()
+            for v in acts:
+                moments.add(_channel_rows(v))
+            mu, sigma = moments.mean, moments.std
+        else:
+            mu, sigma = current.means[bid], current.stds[bid]
+        s, t = _correction(mode, mu, sigma, goals.means[bid], goals.stds[bid])
         name = _next_name(out, "affine")
         spec = LayerSpec(kind="channel_affine", name=name, channels=units[bid])
-        _insert_after_pre_tap(out, bid, spec, {
+        start = _insert_after_pre_tap(out, bid, spec, {
             f"{name}.scale": s.astype(np.float32),
             f"{name}.shift": t.astype(np.float32),
         })
+    if sequential and bids:     # on to the logits: every layer sees the data
+        for v in acts:
+            _eval_walk(out, v, start)
     return out
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rebasin.lap import solve_lap
 from rebasin.match import _score_matrix, apply_perm, invert, random_perm, weight_match
-from rebasin.model import build_model, forward, wiring
+from rebasin.model import POST, PRE, _walk, build_model, forward, wiring
 from rebasin.ops import conv_out_hw
 from rebasin.probes import l2_distance
 from helpers import bits_equal, models_bit_equal, rand_batch, seed_params
@@ -123,3 +123,20 @@ def test_weight_match_recovers_planted_perm_bitwise(a, seed):
     recovered = all(perm.perms[k].tobytes() == want[k].tobytes() for k in want)
     assert recovered == (report.residual_l2 <= 1e-5)
     assert report.converged
+
+
+@SETTINGS
+@given(m=models(), seed=st.integers(0, 1000))
+def test_walk_split_at_any_layer_is_the_whole_forward_bitwise(m, seed):
+    """_walk(stop=k) then _walk(start=k) gives forward's logits and taps."""
+    x = rand_batch(m.input_shape, 6, seed=seed)
+    taps = [(bid, phase) for bid, _ in m.boundary_map for phase in (PRE, POST)]
+    want, want_taps = forward(m, x, taps=taps)
+    for k in range(len(m.layers) + 1):
+        h, head = _walk(m, x, None, False, True, taps=taps, stop=k)
+        out, tail = _walk(m, h, None, False, True, taps=taps, start=k)
+        assert bits_equal(out, want)
+        got = {**head, **tail}
+        assert len(got) == len(head) + len(tail) == len(want_taps)
+        for tap in want_taps:
+            assert bits_equal(got[(tap.boundary_id, tap.phase)], tap.value)

@@ -494,3 +494,25 @@ def test_repair_mode_restores_original_channel_stats():
         tol_s = 1e-3 * goals.stds[bid] + 1e-9
         assert np.all(np.abs(got.stds[bid] - goals.stds[bid])[live]
                       <= tol_s[live])
+
+
+@pytest.mark.filterwarnings("ignore:.*dead channels.*")
+@pytest.mark.parametrize("sequential", [False, True])
+def test_repair_mode_on_one_batch_lands_on_the_one_batch_goal(sequential):
+    # goals and the pruned net's statistics both come from the first batch,
+    # so every live channel of the first boundary lands on its goal
+    from rebasin.renorm import measure_stats
+    m, ds = train_small(2)
+    pruned = apply_mask(m, mask_from_scores(score(m), 0.7))
+    fixed = post_prune_repair(pruned, m, ds, mode="repair", batch_size=64,
+                              sequential=sequential, max_batches=1)
+    one = dict(batch_size=64, max_batches=1)
+    goals, broken, got = (measure_stats(n, ds, boundaries=["b0"], **one)
+                          for n in (m, pruned, fixed))
+    live = broken.stds["b0"] > ops.DEAD_STD
+    assert live.any()
+    scale = float(np.max(goals.stds["b0"]))
+    np.testing.assert_allclose(got.stds["b0"][live], goals.stds["b0"][live],
+                               rtol=1e-5, atol=1e-6 * scale)
+    np.testing.assert_allclose(got.means["b0"][live], goals.means["b0"][live],
+                               rtol=1e-5, atol=1e-6 * scale)

@@ -1,15 +1,21 @@
 """Interpolation, barrier curves, and the re-normalization family, checked
 against two-pass statistics oracles and re-measurement after correction."""
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
 
 from rebasin import ops
 from rebasin.data import synth_blobs
-from rebasin.model import POST, PRE, build_model, forward, mlp_descriptor
+from rebasin.model import (POST, PRE, LayerSpec, NonFiniteError, build_model, forward,
+                           mlp_descriptor)
 from rebasin.renorm import (
+    REPAIR_MODES,
     ChannelStats,
+    _correction,
+    _insert_after_pre_tap,
+    _next_name,
     data_independent_correct,
     eval_curve,
     goal_stats,
@@ -404,6 +410,87 @@ def test_eval_curve_with_repair_lowers_midpoint_loss():
     plain = eval_curve(a, b, ds, quick=True)
     fixed = eval_curve(a, b, ds, quick=True, mode="repair", sequential=True)
     assert fixed.train_loss[1] < plain.train_loss[1]
+
+
+# ---------------------------------------------------------------- sequential repair in one pass
+
+def _per_boundary_repair(model, goals, ds, mode, batch_size):
+    """Sequential repair as one measure_stats pass per boundary, each from the
+    input to the logits: the reference the one-pass walk must equal bitwise."""
+    out = model.copy()
+    for bid, units in out.boundary_map:
+        cur = measure_stats(out, ds, batch_size=batch_size, boundaries=[bid])
+        s, t = _correction(mode, cur.means[bid], cur.stds[bid],
+                           goals.means[bid], goals.stds[bid])
+        name = _next_name(out, "affine")
+        _insert_after_pre_tap(out, bid, LayerSpec("channel_affine", name, channels=units),
+                              {f"{name}.scale": s.astype(np.float32),
+                               f"{name}.shift": t.astype(np.float32)})
+    return out
+
+
+def _sequential_case(name):
+    """(model, goals, dataset, batch size) for one of the oracle's nets."""
+    if name == "mlp":
+        a, b, ds = trained_pair()
+        return interpolate(a, b, 0.5), goal_stats(a, b, 0.5, ds, batch_size=64), ds, 64
+    if name == "bn_cnn":
+        ds = blobs(seed=12, n=96, dims=2 * 64, image_shape=(2, 8, 8))
+        m = seed_params(build_model(small_cnn_desc()), 30)
+        goals = measure_stats(seed_params(build_model(small_cnn_desc()), 31), ds,
+                              batch_size=32)
+        return m, goals, ds, 32
+    if name == "batch_stats_in_eval":
+        a, b, ds = trained_pair(track=True)
+        mid = interpolate(a, b, 0.5)
+        di = data_independent_correct(mid, mix_stats(tracked_stats(a),
+                                                     tracked_stats(b), 0.5))
+        return di, goal_stats(a, b, 0.5, ds, batch_size=64), ds, 64
+    # every unit of b0 is dead: a constant pre-activation of zero spread
+    ds = blobs(seed=13, n=192)
+    m = random_mlp(23)
+    m.params["dense0.w"][:] = 0.0
+    m.params["dense0.b"][:] = np.linspace(-0.5, 0.5, 10, dtype=np.float32)
+    return m, measure_stats(random_mlp(24), ds, batch_size=64), ds, 64
+
+
+@pytest.mark.parametrize("mode", REPAIR_MODES)
+@pytest.mark.parametrize("case", ["mlp", "bn_cnn", "batch_stats_in_eval", "dead_b0"])
+def test_sequential_repair_equals_per_boundary_reference_bitwise(case, mode):
+    m, goals, ds, bs = _sequential_case(case)
+    got, want = [], []
+    for fn, seen in ((repair, got), (_per_boundary_repair, want)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if fn is repair:
+                fixed = repair(m, goals, ds, mode=mode, sequential=True, batch_size=bs)
+            else:
+                fixed = _per_boundary_repair(m, goals, ds, mode, bs)
+        seen += [fixed, [str(w.message) for w in caught]]
+    assert got[0].layers == want[0].layers
+    assert models_bit_equal(got[0], want[0])
+    assert got[1] == want[1]        # the same dead-channel warnings, in order
+    if case == "dead_b0" and mode != "reshift":
+        assert "10 dead channels" in got[1][0]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_sequential_repair_raises_where_the_head_overflows():
+    a, b, ds = trained_pair()
+    goals = measure_stats(a, ds, batch_size=64)
+    blown = a.copy()
+    blown.params["dense2.w"][:] = np.float32(3e38)
+    with pytest.raises(NonFiniteError) as err:
+        repair(blown, goals, ds, mode="repair", sequential=True, batch_size=64)
+    assert err.value.layer_name == "dense2"
+
+
+@pytest.mark.parametrize("sequential", [False, True])
+def test_repair_on_less_than_one_batch_raises(sequential):
+    a, _, ds = trained_pair()
+    goals = measure_stats(a, ds, batch_size=64)
+    with pytest.raises(ValueError, match="dataset smaller than one batch"):
+        repair(a, goals, blobs(seed=14, n=32), sequential=sequential, batch_size=64)
 
 
 # ---------------------------------------------------------------- data-independent
