@@ -8,9 +8,13 @@ own layer table, and times each layer: `fwd` is its forward with batch
 statistics (and its backward cache), `bwd` its backward from the gradient the
 layer above passed down, and `fisher` the backward of the diagonal-Fisher
 pass, which sums squared per-sample weight gradients (weight layers only).
-A last table times `repair` of the same net to its own statistics on 4
+A second table times `repair` of the same net to its own statistics on 4
 random batches of each size: `sequential` (one corrected boundary after
 another) against `single` (one measurement pass for all boundaries).
+A last table splits one training step of the 784-input MLPs with 3 and 6
+hidden layers of 256 into `fwd` (the cached forward), `bwd` (loss gradient
+and backward, without the input gradient train skips) and `update` (the
+momentum step), as `train` runs them.
 Each figure is the median of N calls in ms.
 
     python3 scripts/bench_kernels.py [--batches 32 256 512] [--repeats 7]
@@ -27,12 +31,14 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rebasin.data import Dataset
-from rebasin.model import WEIGHT_KINDS, _backward, _layer_fwd, build_model, cnn_descriptor
+from rebasin.model import (WEIGHT_KINDS, _backward, _forward_cached, _layer_fwd, build_model,
+                           cnn_descriptor, mlp_descriptor)
 from rebasin.ops import softmax_cross_entropy
 from rebasin.renorm import measure_stats, repair
-from rebasin.train import init_params
+from rebasin.train import _sgd_update, init_params
 
 REPAIR_BATCHES = 4
+STEP_NETS = {"3x256": [256] * 3, "6x256": [256] * 6}
 
 
 def convnet():
@@ -87,6 +93,25 @@ def repair_ms(model, batch, repeats):
                       repeats) for seq in (True, False)]
 
 
+def step_ms(hidden, batch, repeats):
+    """[fwd, bwd, update] ms of one training step of a 784-input MLP."""
+    model = init_params(build_model(mlp_descriptor(784, hidden, 10)), "kaiming_uniform", 0)
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, 784)).astype(np.float32)
+    y = rng.integers(0, 10, size=batch)
+    logits, caches = _forward_cached(model, x)
+
+    def bwd():
+        return _backward(model, caches, softmax_cross_entropy(logits, y)[1],
+                         input_grad=False)
+    grads = bwd()
+    vel = {k: np.zeros_like(g) for k, g in grads.items()}
+    return [median_ms(lambda: _forward_cached(model, x), repeats),
+            median_ms(bwd, repeats),
+            median_ms(lambda: _sgd_update(model.params, vel, grads, 0.01, 0.9, 0.0),
+                      repeats)]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -113,6 +138,11 @@ def main():
         seq, single = repair_ms(model, batch, args.repeats)
         print(f"{'repair':<10}{REPAIR_BATCHES:>9}{batch:>7}{seq:>12.2f}{single:>9.2f}",
               flush=True)
+    print(f"{'# step':<10}{'net':>9}{'batch':>7}{'fwd':>9}{'bwd':>9}{'update':>9}")
+    for name, hidden in STEP_NETS.items():
+        for batch in args.batches:
+            cells = "".join(f"{v:>9.2f}" for v in step_ms(hidden, batch, args.repeats))
+            print(f"{'step':<10}{name:>9}{batch:>7}{cells}", flush=True)
 
 
 if __name__ == "__main__":

@@ -39,27 +39,35 @@ def _check_keys(doc, allowed, required, ctx):
         raise ValueError(f"{ctx}: missing keys {sorted(missing)}")
 
 
-def _dataset(doc):
-    from .data import hold_out, load_cifar_bin, load_idx, synth_blobs, synth_embedded
+def _dataset(doc, pools=None):
+    """The dataset a config doc names. pools, a dict that lives for one
+    command, keeps each generated pool under its generation arguments (the
+    doc without hold_out/part), so the train and test parts of one pool cost
+    one generation."""
+    from .data import hold_out
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("dataset config must be a dict with a 'kind'")
-    kind = doc["kind"]
-    rest = {k: v for k, v in doc.items() if k != "kind"}
+    rest = {k: v for k, v in doc.items() if k not in ("hold_out", "part")}
     # Synthetic kinds accept hold_out/part so train and test slices come from
     # one generation pass; separately seeded pools have unrelated centers.
-    cut = rest.pop("hold_out", None)
-    part = rest.pop("part", "train")
+    cut = doc.get("hold_out")
+    part = doc.get("part", "train")
     if part not in ("train", "test"):
         raise ValueError(f"part must be 'train' or 'test', got {part!r}")
     if part == "test" and cut is None:
         raise ValueError("part 'test' needs hold_out")
+    pools = {} if pools is None else pools
+    key = json.dumps(rest, sort_keys=True)
+    if key not in pools:
+        pools[key] = _pool(rest.pop("kind"), rest)
+    if cut is None:
+        return pools[key]
+    train, test = hold_out(pools[key], int(cut))
+    return test if part == "test" else train
 
-    def sliced(ds):
-        if cut is None:
-            return ds
-        train, test = hold_out(ds, int(cut))
-        return test if part == "test" else train
 
+def _pool(kind, rest):
+    from .data import load_cifar_bin, load_idx, synth_blobs, synth_embedded
     if kind == "blobs":
         _check_keys(rest, {"seed", "n", "dims", "classes", "spread",
                            "clusters_per_class", "image_shape", "standardize",
@@ -67,7 +75,7 @@ def _dataset(doc):
                     {"seed", "n", "dims", "classes", "spread"}, "blobs dataset")
         if rest.get("image_shape") is not None:
             rest["image_shape"] = tuple(rest["image_shape"])
-        return sliced(synth_blobs(**rest))
+        return synth_blobs(**rest)
     if kind == "embedded":
         _check_keys(rest, {"seed", "n", "dims", "d_eff", "classes", "spread",
                            "clusters_per_class", "ambient", "image_shape",
@@ -76,20 +84,29 @@ def _dataset(doc):
                     "embedded dataset")
         if rest.get("image_shape") is not None:
             rest["image_shape"] = tuple(rest["image_shape"])
-        return sliced(synth_embedded(**rest))
+        return synth_embedded(**rest)
     if kind == "idx":
         _check_keys(rest, {"images", "labels", "standardize", "split"},
                     {"images", "labels"}, "idx dataset")
-        return sliced(load_idx(rest["images"], rest["labels"],
-                               standardize=rest.get("standardize", True),
-                               split=rest.get("split", "train")))
+        return load_idx(rest["images"], rest["labels"],
+                        standardize=rest.get("standardize", True),
+                        split=rest.get("split", "train"))
     if kind == "cifar":
         _check_keys(rest, {"paths", "standardize", "split"}, {"paths"},
                     "cifar dataset")
-        return sliced(load_cifar_bin(rest["paths"],
-                                     standardize=rest.get("standardize", True),
-                                     split=rest.get("split", "train")))
+        return load_cifar_bin(rest["paths"],
+                              standardize=rest.get("standardize", True),
+                              split=rest.get("split", "train"))
     raise ValueError(f"unknown dataset kind {kind!r}")
+
+
+def _train_test(cfg):
+    """A config's 'dataset' and its 'test_dataset' (None when absent), with
+    one generation for both parts of a shared pool."""
+    pools = {}
+    ds = _dataset(cfg["dataset"], pools)
+    test = _dataset(cfg["test_dataset"], pools) if "test_dataset" in cfg else None
+    return ds, test
 
 
 def _load_config(path):
@@ -142,8 +159,7 @@ def _grid(cfg):
 def _cmd_train(cfg, run):
     _check_keys(cfg, {"dataset", "test_dataset", "model", "train", "seeds"},
                 {"dataset", "model", "train"}, "train config")
-    ds = _dataset(cfg["dataset"])
-    test = _dataset(cfg["test_dataset"]) if "test_dataset" in cfg else None
+    ds, test = _train_test(cfg)
     base = TrainConfig(**cfg["train"])
     seeds = [int(s) for s in cfg.get("seeds", [base.seed])]
     results = {}
@@ -153,10 +169,10 @@ def _cmd_train(cfg, run):
         model, log = train(model, ds, tc, test_ds=test)
         save_checkpoint(model, os.path.join(run, f"model-seed{s}.rbnc"))
         log.write_csv(os.path.join(run, f"log-seed{s}.csv"))
-        results[str(s)] = log.summary()
-        results[str(s)]["train_acc"] = log.epoch_train_acc[-1]
+        summary = results[str(s)] = log.summary()
+        summary["train_acc"] = summary["final_train_acc"]   # None after 0 epochs
         if test is not None:
-            results[str(s)]["test_acc"] = log.epoch_test_acc[-1]
+            summary["test_acc"] = summary["final_test_acc"]
     _write_json(os.path.join(run, "result.json"), results)
     return EXIT_OK
 
@@ -188,8 +204,7 @@ def _cmd_curve(cfg, run, default_mode):
                       "stats_batch_size"},
                 {"checkpoints", "dataset"}, "curve config")
     a, b = _load_models(cfg["checkpoints"], want=2)
-    ds = _dataset(cfg["dataset"])
-    test = _dataset(cfg["test_dataset"]) if "test_dataset" in cfg else None
+    ds, test = _train_test(cfg)
     grid, quick = _grid(cfg)
     report = eval_curve(a, b, ds, test_ds=test, grid=grid, quick=quick,
                         mode=cfg.get("mode", default_mode),
@@ -239,8 +254,8 @@ def _cmd_prune(cfg, run):
                       "scale_by_weight_sq", "batch_size"},
                 {"checkpoint", "dataset"}, "prune config")
     model = load_checkpoint(cfg["checkpoint"])
-    ds = _dataset(cfg["dataset"])
-    eval_ds = _dataset(cfg["test_dataset"]) if "test_dataset" in cfg else ds
+    ds, test = _train_test(cfg)
+    eval_ds = ds if test is None else test
     method = cfg.get("method", "magnitude")
     repair_mode = cfg.get("repair")
     if repair_mode is not None and repair_mode not in ("reset", "repair"):

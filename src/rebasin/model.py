@@ -541,7 +541,12 @@ def _forward_cached(model, x, update_stats=True, track=False, bn_batch_stats=Tru
     return cur, caches
 
 
-def _backward(model, caches, dy, weight_hook=None):
+def _holds_grads(spec, p):
+    """Whether _backward writes a gradient for one of the layer's tensors."""
+    return spec.kind in WEIGHT_KINDS + ("channel_affine",) or f"{spec.name}.gamma" in p
+
+
+def _backward(model, caches, dy, weight_hook=None, input_grad=True):
     """Backprop dy through the cached layers: gradients keyed by tensor name,
     and the input gradient under "x".
 
@@ -549,26 +554,42 @@ def _backward(model, caches, dy, weight_hook=None):
     bias gradients: it receives each weight's float64 sum over samples of
     squared per-sample gradients. That is exact only when every layer acts
     per sample (batchnorm on running statistics).
+
+    With input_grad false the walk ends once the lowest layer holding
+    gradients has them, so no gradient flows below it and "x" is absent;
+    every tensor gradient is bitwise the full walk's.
     """
     p = model.params
     grads = {}
-    for spec, cache in reversed(caches):
+    last = 0
+    if not input_grad:
+        last = next((i for i, (spec, _) in enumerate(caches) if _holds_grads(spec, p)),
+                    len(caches))
+    for i in range(len(caches) - 1, last - 1, -1):
+        spec, cache = caches[i]
         kind, name = spec.kind, spec.name
+        need_dx = i > last or input_grad
         if kind == "dense":
             w = p[f"{name}.w"]
             if weight_hook:
                 weight_hook(f"{name}.w", ops.dense_sq_grad(cache, dy))
-                dy = ops.dense_dx(w, dy)
-            else:
+                if need_dx:
+                    dy = ops.dense_dx(w, dy)
+            elif need_dx:
                 dy, grads[f"{name}.w"], db = ops.dense_bwd(cache, w, dy)
+            else:
+                grads[f"{name}.w"], db = ops.dense_wgrad(cache, dy)
         elif kind == "conv2d":
             w, (cols, x_shape) = p[f"{name}.w"], cache
             if weight_hook:
                 weight_hook(f"{name}.w", ops.conv2d_sq_grad(cols, w.shape, dy))
-                dy = ops.conv2d_dx(x_shape, w, dy, spec.stride, spec.pad)
-            else:
+                if need_dx:
+                    dy = ops.conv2d_dx(x_shape, w, dy, spec.stride, spec.pad)
+            elif need_dx:
                 dy, grads[f"{name}.w"], db = ops.conv2d_bwd(
                     cols, x_shape, w, dy, spec.stride, spec.pad)
+            else:
+                grads[f"{name}.w"], db = ops.conv2d_wgrad(cols, w.shape, dy)
         elif kind == "relu":
             dy = ops.relu_bwd(cache, dy)
         elif kind == "maxpool2d":
@@ -585,7 +606,8 @@ def _backward(model, caches, dy, weight_hook=None):
                 ops.channel_affine_bwd(cache, p[f"{name}.scale"], dy)
         if kind in WEIGHT_KINDS and not weight_hook and f"{name}.b" in p:
             grads[f"{name}.b"] = db
-    grads["x"] = dy
+    if input_grad:
+        grads["x"] = dy
     return grads
 
 

@@ -29,11 +29,13 @@ def dense_dx(w, dy):
     return dy @ w
 
 
+def dense_wgrad(x, dy):
+    """Weight and bias gradients of a dense layer: (dw, db)."""
+    return dy.T @ x, dy.sum(axis=0)
+
+
 def dense_bwd(x, w, dy):
-    dx = dense_dx(w, dy)
-    dw = dy.T @ x
-    db = dy.sum(axis=0)
-    return dx, dw, db
+    return (dense_dx(w, dy),) + dense_wgrad(x, dy)
 
 
 def dense_sq_grad(x, dy):
@@ -99,11 +101,15 @@ def conv2d_dx(x_shape, w, dy, stride, pad):
     return col2im(dcols, x_shape, w.shape[2], stride, pad, dy.shape[2:])
 
 
+def conv2d_wgrad(cols, w_shape, dy):
+    """Weight and bias gradients of a conv layer from its im2col patches: (dw, db)."""
+    cout = w_shape[0]
+    dw = (_dy_rows(dy).reshape(-1, cout).T @ cols.reshape(-1, cols.shape[-1])).reshape(w_shape)
+    return dw, dy.sum(axis=(0, 2, 3))
+
+
 def conv2d_bwd(cols, x_shape, w, dy, stride, pad):
-    cout = w.shape[0]
-    dw = (_dy_rows(dy).reshape(-1, cout).T @ cols.reshape(-1, cols.shape[-1])).reshape(w.shape)
-    db = dy.sum(axis=(0, 2, 3))
-    return conv2d_dx(x_shape, w, dy, stride, pad), dw, db
+    return (conv2d_dx(x_shape, w, dy, stride, pad),) + conv2d_wgrad(cols, w.shape, dy)
 
 
 def conv2d_sq_grad(cols, w_shape, dy):

@@ -105,7 +105,8 @@ def _diag_fisher(model, keys, dataset, batch_size, max_batches):
         prob = np.exp(z)
         prob /= prob.sum(axis=1, keepdims=True)
         prob[np.arange(len(yb)), yb] -= 1.0
-        _backward(model, caches, prob.astype(logits.dtype), weight_hook=add_sq_grads)
+        _backward(model, caches, prob.astype(logits.dtype), weight_hook=add_sq_grads,
+                  input_grad=False)
         seen += len(yb)
     if seen == 0:
         raise ValueError("dataset smaller than one batch")

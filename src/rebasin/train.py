@@ -171,6 +171,30 @@ def evaluate(model, dataset, batch_size=512):
 
 # ---------------------------------------------------------------- training loop
 
+def _sgd_update(params, vel, grads, lr, momentum, weight_decay):
+    """One momentum step, in place, on each tensor of vel that has a gradient.
+
+    Float32 tensors are updated in their buffers, which rounds bitwise as
+    (momentum * v + g).astype(float32) does, for float64 gradients too. A
+    tensor that is not float32 takes that out-of-place path once, which
+    turns it and its velocity float32.
+    """
+    for k, v in vel.items():
+        g = grads.get(k)
+        if g is None:
+            continue
+        w = params[k]
+        if weight_decay:
+            g = g + weight_decay * w
+        if v.dtype == w.dtype == np.float32:
+            v *= momentum
+            v += g
+            w -= lr * v
+        else:
+            vel[k] = (momentum * v + g).astype(np.float32)
+            params[k] = (w - lr * vel[k]).astype(np.float32)
+
+
 def train(model, dataset, config, test_ds=None, frozen=(), stop_at_train_acc=None):
     """SGD with momentum: v <- m*v + g + wd*theta, theta <- theta - lr*v.
 
@@ -210,15 +234,9 @@ def train(model, dataset, config, test_ds=None, frozen=(), stop_at_train_acc=Non
             if not np.isfinite(loss) or loss > _DIVERGE_LOSS:
                 raise DivergedError(
                     f"training diverged at iteration {it}: loss={loss}")
-            grads = _backward(model, caches, dlogits)
-            for k in keys:
-                g = grads.get(k)
-                if g is None:
-                    continue
-                if config.weight_decay:
-                    g = g + config.weight_decay * model.params[k]
-                vel[k] = (config.momentum * vel[k] + g).astype(np.float32)
-                model.params[k] = (model.params[k] - lr * vel[k]).astype(np.float32)
+            grads = _backward(model, caches, dlogits, input_grad=False)
+            _sgd_update(model.params, vel, grads, lr, config.momentum,
+                        config.weight_decay)
             log.iterations.append(it)
             log.lrs.append(lr)
             log.losses.append(loss)

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from rebasin import cli
+from rebasin import cli, data
 from rebasin.checkpoint import load_checkpoint, save_checkpoint
 from rebasin.cli import _new_run_dir, _write_json, main
 from rebasin.data import synth_blobs
@@ -17,7 +17,7 @@ from rebasin.probes import PROBE_COLUMNS, LayerProbe
 from rebasin.renorm import CurveReport
 from rebasin.train import TrainConfig, TrainLog, init_params, train
 
-from helpers import models_bit_equal, small_cnn_desc
+from helpers import bits_equal, models_bit_equal, small_cnn_desc
 
 BLOBS = {"kind": "blobs", "seed": 21, "n": 256, "dims": 8, "classes": 4,
          "spread": 0.45, "clusters_per_class": 2}
@@ -85,6 +85,51 @@ def test_dataset_embedded_rejects_unknown_key(tmp_path, capsys):
     assert "ambiant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "interp", "prune"])
+def test_one_generation_per_command(tmp_path, ckpts, monkeypatch, command):
+    pools, seen = [], []
+    for name in ("synth_blobs", "synth_embedded"):
+        def counted(*a, fn=getattr(data, name), **kw):
+            pools.append(fn(*a, **kw))
+            return pools[-1]
+        monkeypatch.setattr(data, name, counted)
+
+    def record(name, pick):
+        fn = getattr(cli, name)
+
+        def wrapped(*a, **kw):
+            seen.append(pick(*a, **kw))
+            return fn(*a, **kw)
+        monkeypatch.setattr(cli, name, wrapped)
+
+    if command == "train":
+        record("train", lambda m, ds, tc, test_ds: (ds, test_ds))
+        doc = {"model": MODEL, "train": {**TRAIN, "epochs": 1}}
+    elif command == "interp":
+        record("eval_curve", lambda a, b, ds, test_ds, **kw: (ds, test_ds))
+        doc = {"checkpoints": ckpts[:2], "grid": "quick"}
+    else:
+        record("score", lambda m, dataset, **kw: dataset)
+        record("evaluate", lambda m, ds: ds)
+        doc = {"checkpoint": ckpts[0], "method": "diag_fisher", "sparsities": [0.5]}
+    out = str(tmp_path / "runs")
+    for seed in (21, 22):
+        pool = {**BLOBS, "seed": seed}
+        cfg = write_cfg(tmp_path, dataset={**pool, "hold_out": 64},
+                        test_dataset={**pool, "hold_out": 64, "part": "test"}, **doc)
+        assert main([command, "--config", cfg, "--out", out]) == 0
+    # one generation per command; the second command drew its own pool
+    assert len(pools) == 2
+    assert not np.array_equal(pools[0].inputs, pools[1].inputs)
+    if command == "prune":   # score reads the train part, evaluate the test part
+        seen = [(seen[0], seen[1]), (seen[2], seen[3])]
+    for pool, (tr, te) in zip(pools, seen):
+        want = data.hold_out(pool, 64)
+        for got, part in zip((tr, te), want):
+            assert bits_equal(got.inputs, part.inputs)
+            assert bits_equal(got.labels, part.labels)
+
+
 # ---------------------------------------------------------------- train
 
 def test_train_writes_run_dir_snapshot_and_checkpoint(tmp_path):
@@ -110,6 +155,17 @@ def test_train_reruns_are_bitwise_identical_and_append_only(tmp_path):
     a = (out / "train-000" / "model-seed0.rbnc").read_bytes()
     b = (out / "train-001" / "model-seed0.rbnc").read_bytes()
     assert a == b
+
+
+def test_train_zero_epochs_exits_0_with_null_accuracies(tmp_path):
+    cfg = write_cfg(tmp_path, dataset={**BLOBS, "hold_out": 64},
+                    test_dataset={**BLOBS, "hold_out": 64, "part": "test"},
+                    model=MODEL, train={**TRAIN, "epochs": 0})
+    out = tmp_path / "runs"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    result = json.loads((out / "train-000" / "result.json").read_text())["0"]
+    assert result["train_acc"] is None and result["test_acc"] is None
+    assert result["iters"] == 0 and result["epochs"] == 0
 
 
 def test_train_seed_flag_overrides_and_lands_in_snapshot(tmp_path):

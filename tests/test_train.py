@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rebasin import ops
+from rebasin import ops, prune
 from rebasin.data import synth_blobs
-from rebasin.model import build_model, mlp_descriptor
+from rebasin.model import _backward, _forward_cached, build_model, mlp_descriptor, stat_key
 from rebasin.probes import l2_distance
 from rebasin.train import (
     DivergedError,
@@ -226,6 +226,121 @@ def test_backward_matches_analytic_dense_gradient():
     p[np.arange(16), ds.labels] -= 1.0
     want = (p / 16).T @ x
     assert rel_err(grads["dense0.w"], want) <= 1e-12
+
+
+def reference_train(model, ds, cfg, frozen=()):
+    """train's parameter updates as a plain loop: the whole backward walk,
+    input gradient included, then the out-of-place float32 update."""
+    model = model.copy()
+    if cfg.track_boundary_stats:
+        for bid, n in model.boundary_map:
+            model.params[f"stats.{bid}.mean"] = np.zeros(n, dtype=np.float32)
+            model.params[f"stats.{bid}.var"] = np.ones(n, dtype=np.float32)
+    total = cfg.epochs * ds.num_batches(cfg.batch_size, drop_last=cfg.drop_last)
+    if cfg.max_iters:
+        total = min(total, cfg.max_iters)
+    keys = [k for k in model.params if not stat_key(k) and k not in frozen]
+    vel = {k: np.zeros_like(model.params[k]) for k in keys}
+    it = 0
+    for epoch in range(cfg.epochs):
+        for xb, yb in ds.batches(cfg.batch_size, seed=cfg.seed, epoch=epoch,
+                                 shuffle=cfg.shuffle, drop_last=cfg.drop_last):
+            if it >= total:
+                return model
+            if cfg.track_boundary_stats:   # loss_and_grads does not track
+                logits, caches = _forward_cached(model, xb, track=True)
+                grads = _backward(model, caches, ops.softmax_cross_entropy(logits, yb)[1])
+            else:
+                _, grads = loss_and_grads(model, xb, yb, update_stats=True)
+            assert grads["x"].shape == xb.shape
+            lr = lr_at(cfg, it, total_iters=total)
+            for k in keys:
+                g = grads[k]
+                if cfg.weight_decay:
+                    g = g + cfg.weight_decay * model.params[k]
+                vel[k] = (cfg.momentum * vel[k] + g).astype(np.float32)
+                model.params[k] = (model.params[k] - lr * vel[k]).astype(np.float32)
+            it += 1
+    return model
+
+
+@pytest.mark.parametrize("net", ["mlp", "mlp_float64", "bn_cnn"])
+def test_train_equals_reference_loop_bitwise(net):
+    if net == "bn_cnn":
+        ds = blobs(seed=2, n=128, dims=64, image_shape=(1, 8, 8))
+        m = init_params(build_model(small_cnn_desc(in_shape=(1, 8, 8), classes=4)),
+                        "kaiming_normal", seed=3)
+        cfg, frozen = quick_config(batch_size=32, epochs=2, track_boundary_stats=True,
+                                   schedule="cosine"), ()
+    else:
+        ds = blobs(seed=4, n=256)
+        m = init_params(fresh_mlp(widths=(16, 16)), "kaiming_uniform", seed=1)
+        if net == "mlp_float64":
+            m = as_float64(m)   # the first update turns every tensor float32
+        cfg = quick_config(weight_decay=5e-3, momentum=0.8, epochs=3, max_iters=10,
+                           schedule="step", milestones=(6,))
+        frozen = ("dense1.b",)
+    out, _ = train(m, ds, cfg, frozen=frozen)
+    want = reference_train(m, ds, cfg, frozen=frozen)
+    assert models_bit_equal(out, want)
+    assert not bits_equal(out.params["dense0.w"], m.params["dense0.w"].astype(np.float32))
+    if frozen:
+        assert bits_equal(out.params["dense1.b"], m.params["dense1.b"])
+    if net != "mlp":
+        assert {v.dtype for k, v in out.params.items()
+                if not stat_key(k) and k not in frozen} == {np.dtype(np.float32)}
+
+
+FIRST_LAYER_NETS = {
+    "dense_first": ({"input_shape": [8],
+                     "layers": [{"kind": "dense", "out": 6}, {"kind": "relu"},
+                                {"kind": "dense", "out": 3}]}, (8,)),
+    "flatten_first": ({"input_shape": [1, 2, 4],
+                       "layers": [{"kind": "flatten"}, {"kind": "dense", "out": 6},
+                                  {"kind": "relu"}, {"kind": "dense", "out": 3}]},
+                      (1, 2, 4)),
+    "conv_first": (small_cnn_desc(in_shape=(1, 8, 8)), (1, 8, 8)),
+}
+
+
+@pytest.mark.parametrize("net", sorted(FIRST_LAYER_NETS))
+def test_first_layer_stop_changes_no_gradient(net):
+    desc, shape = FIRST_LAYER_NETS[net]
+    m = seed_params(build_model(desc), seed=11, scale=0.4)
+    x = rand_batch(shape, 12, seed=12)
+    y = np.arange(12) % 3
+
+    def walk(weight_hook=None, **kw):
+        # the Fisher pass runs batchnorm on running statistics
+        logits, caches = _forward_cached(m, x, update_stats=False,
+                                         bn_batch_stats=weight_hook is None)
+        return _backward(m, caches, ops.softmax_cross_entropy(logits, y)[1],
+                         weight_hook=weight_hook, **kw)
+
+    full, stop = walk(), walk(input_grad=False)
+    assert set(full) - set(stop) == {"x"}
+    assert all(bits_equal(stop[k], full[k]) for k in stop)
+    sq_full, sq_stop = {}, {}
+    walk(weight_hook=sq_full.__setitem__)
+    walk(weight_hook=sq_stop.__setitem__, input_grad=False)
+    assert sq_full.keys() == sq_stop.keys() == {
+        f"{l.name}.w" for l in m.layers if l.kind in ("dense", "conv2d")}
+    assert all(bits_equal(sq_stop[k], sq_full[k]) for k in sq_full)
+    _, lg = loss_and_grads(m, x, y)
+    assert lg["x"].shape == x.shape and set(lg) == set(full)
+
+
+def test_diag_fisher_equals_the_full_backward_walk(monkeypatch):
+    ds = blobs(seed=2, n=96, dims=64, image_shape=(1, 8, 8))
+    m = init_params(build_model(small_cnn_desc(in_shape=(1, 8, 8), classes=4)),
+                    "kaiming_normal", seed=3)
+    keys = prune.prunable_keys(m)
+    got = prune._diag_fisher(m, keys, ds, 32, None)
+    monkeypatch.setattr(prune, "_backward", lambda *a, input_grad, **kw:
+                        _backward(*a, **kw))
+    want = prune._diag_fisher(m, keys, ds, 32, None)
+    assert got.keys() == want.keys() == set(keys)
+    assert all(bits_equal(got[k], want[k]) for k in keys)
 
 
 def test_train_reaches_99_on_separable_blobs():
