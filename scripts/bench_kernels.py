@@ -14,7 +14,10 @@ another) against `single` (one measurement pass for all boundaries).
 A last table splits one training step of the 784-input MLPs with 3 and 6
 hidden layers of 256 into `fwd` (the cached forward), `bwd` (loss gradient
 and backward, without the input gradient train skips) and `update` (the
-momentum step), as `train` runs them.
+momentum step), as `train` runs them. A `score` table times one
+`weight_match` score matrix (`_score_matrix`, every term computed from
+scratch) per boundary of two 784-input MLPs, 3x256 and 2x512, under random
+permutations.
 Each figure is the median of N calls in ms.
 
     python3 scripts/bench_kernels.py [--batches 32 256 512] [--repeats 7]
@@ -31,14 +34,16 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rebasin.data import Dataset
+from rebasin.match import _score_matrix, random_perm
 from rebasin.model import (WEIGHT_KINDS, _backward, _forward_cached, _layer_fwd, build_model,
-                           cnn_descriptor, mlp_descriptor)
+                           cnn_descriptor, mlp_descriptor, wiring)
 from rebasin.ops import softmax_cross_entropy
 from rebasin.renorm import measure_stats, repair
 from rebasin.train import _sgd_update, init_params
 
 REPAIR_BATCHES = 4
 STEP_NETS = {"3x256": [256] * 3, "6x256": [256] * 6}
+SCORE_NETS = {"3x256": [256] * 3, "2x512": [512] * 2}
 
 
 def convnet():
@@ -112,6 +117,19 @@ def step_ms(hidden, batch, repeats):
                       repeats)]
 
 
+def score_rows(hidden, repeats):
+    """(boundary, units, ms) of one _score_matrix call per boundary of a
+    784-input MLP pair, the other boundaries under random permutations."""
+    a, b = (init_params(build_model(mlp_descriptor(784, hidden, 10)), "kaiming_uniform", s)
+            for s in (0, 1))
+    pa = {k: v.astype(np.float64) for k, v in a.params.items()}
+    pb = {k: v.astype(np.float64) for k, v in b.params.items()}
+    wir, perms = wiring(a), random_perm(a, seed=2).perms
+    return [(bid, n, median_ms(lambda: _score_matrix(a.layers, pa, pb, wir, bid, perms),
+                               repeats))
+            for bid, n in a.boundary_map]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -143,6 +161,10 @@ def main():
         for batch in args.batches:
             cells = "".join(f"{v:>9.2f}" for v in step_ms(hidden, batch, args.repeats))
             print(f"{'step':<10}{name:>9}{batch:>7}{cells}", flush=True)
+    print(f"{'# score':<10}{'net':>9}{'bound':>7}{'units':>9}{'ms':>9}")
+    for name, hidden in SCORE_NETS.items():
+        for bid, units, ms in score_rows(hidden, args.repeats):
+            print(f"{'score':<10}{name:>9}{bid:>7}{units:>9}{ms:>9.2f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,14 @@ def _check_keys(doc, allowed, required, ctx):
         raise ValueError(f"{ctx}: missing keys {sorted(missing)}")
 
 
+def _count(key, value, low=1):
+    """A config field's value, checked and not coerced: an integer (a bool
+    is none) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 def _dataset(doc, pools=None):
     """The dataset a config doc names. pools, a dict that lives for one
     command, keeps each generated pool under its generation arguments (the
@@ -62,7 +70,7 @@ def _dataset(doc, pools=None):
         pools[key] = _pool(rest.pop("kind"), rest)
     if cut is None:
         return pools[key]
-    train, test = hold_out(pools[key], int(cut))
+    train, test = hold_out(pools[key], _count("hold_out", cut))
     return test if part == "test" else train
 
 
@@ -148,9 +156,7 @@ def _load_models(paths, want=None):
 def _grid(cfg):
     if cfg.get("grid") == "quick":
         return None, True
-    points = int(cfg.get("grid_points", 11))
-    if points < 2:
-        raise ValueError("grid_points must be at least 2")
+    points = _count("grid_points", cfg.get("grid_points", 11), low=2)
     return [i / (points - 1) for i in range(points)], False
 
 
@@ -161,7 +167,7 @@ def _cmd_train(cfg, run):
                 {"dataset", "model", "train"}, "train config")
     ds, test = _train_test(cfg)
     base = TrainConfig(**cfg["train"])
-    seeds = [int(s) for s in cfg.get("seeds", [base.seed])]
+    seeds = [_count("seeds", s, low=0) for s in cfg.get("seeds", [base.seed])]
     results = {}
     for s in seeds:
         tc = replace(base, seed=s)
@@ -184,9 +190,10 @@ def _cmd_match(cfg, run):
     a, b = _load_models(cfg["checkpoints"], want=2)
     match = _resolve_matcher(cfg.get("matcher", "weight"),
                              _dataset(cfg["dataset"]) if "dataset" in cfg else None,
-                             seed=int(cfg.get("seed", 0)),
-                             batch_size=int(cfg.get("batch_size", 256)), phase=POST,
-                             max_sweeps=int(cfg.get("max_sweeps", 100)))
+                             seed=_count("seed", cfg.get("seed", 0), low=0),
+                             batch_size=_count("batch_size", cfg.get("batch_size", 256)),
+                             phase=POST,
+                             max_sweeps=_count("max_sweeps", cfg.get("max_sweeps", 100)))
     spec, report = match(a, b)
     _write_json(os.path.join(run, "perm.json"), {"perms": spec.to_jsonable()})
     _write_json(os.path.join(run, "report.json"),
@@ -209,8 +216,9 @@ def _cmd_curve(cfg, run, default_mode):
     report = eval_curve(a, b, ds, test_ds=test, grid=grid, quick=quick,
                         mode=cfg.get("mode", default_mode),
                         sequential=bool(cfg.get("sequential", False)),
-                        batch_size=int(cfg.get("batch_size", 512)),
-                        stats_batch_size=int(cfg.get("stats_batch_size", 256)))
+                        batch_size=_count("batch_size", cfg.get("batch_size", 512)),
+                        stats_batch_size=_count("stats_batch_size",
+                                                cfg.get("stats_batch_size", 256)))
     report.write_csv(os.path.join(run, "curve.csv"))
     _write_json(os.path.join(run, "report.json"), report.summary())
     return EXIT_OK
@@ -238,9 +246,10 @@ def _cmd_merge(cfg, run):
     ds = _dataset(cfg["dataset"]) if "dataset" in cfg else None
     merged, perms = multi_match(models, strategy=strategy,
                                 matcher=cfg.get("matcher", "weight"),
-                                dataset=ds, iter_cap=int(cfg.get("iter_cap", 30)),
-                                seed=int(cfg.get("seed", 0)),
-                                batch_size=int(cfg.get("batch_size", 256)))
+                                dataset=ds,
+                                iter_cap=_count("iter_cap", cfg.get("iter_cap", 30)),
+                                seed=_count("seed", cfg.get("seed", 0), low=0),
+                                batch_size=_count("batch_size", cfg.get("batch_size", 256)))
     save_checkpoint(merged, os.path.join(run, "merged.rbnc"))
     info = dict(merged.meta["merge"])
     info["perms"] = [p.to_jsonable() for p in perms]
@@ -260,7 +269,7 @@ def _cmd_prune(cfg, run):
     repair_mode = cfg.get("repair")
     if repair_mode is not None and repair_mode not in ("reset", "repair"):
         raise ValueError(f"unknown repair mode {repair_mode!r}")
-    batch_size = int(cfg.get("batch_size", 256))
+    batch_size = _count("batch_size", cfg.get("batch_size", 256))
     smap = score(model, method=method,
                  dataset=ds if method == "diag_fisher" else None,
                  scale_by_weight_sq=bool(cfg.get("scale_by_weight_sq", True)),
@@ -290,7 +299,7 @@ def _cmd_probe(cfg, run):
                 {"checkpoint", "dataset"}, "probe config")
     model = load_checkpoint(cfg["checkpoint"])
     probe = channel_probe(model, _dataset(cfg["dataset"]),
-                          batch_size=int(cfg.get("batch_size", 256)),
+                          batch_size=_count("batch_size", cfg.get("batch_size", 256)),
                           max_batches=cfg.get("max_batches"),
                           with_fisher=bool(cfg.get("with_fisher", True)))
     probe.write_csv(os.path.join(run, "probe.csv"))

@@ -102,8 +102,9 @@ def _unit_view(arr, axis, units):
 
 def _gather(arr, axis, units, v):
     """arr's unit view with unit i taken from unit v[i] along axis. Fancy
-    indexing, not np.take: the result's memory layout picks the BLAS path
-    of _score_matrix's products, and with it their last bits."""
+    indexing, not np.take: along axis 1 it lays the copy out unit-major,
+    which _term's tensordot reads as one GEMM operand without a second
+    copy. The layout picks the BLAS path, and with it the last bits."""
     return _unit_view(arr, axis, units)[(slice(None),) * axis + (v,)]
 
 
@@ -111,6 +112,17 @@ def _others(axes, bid, name):
     """(boundary, axis) of every other boundary's permutation on tensor name."""
     return [(ob, ax) for ob, entries in axes.items() if ob != bid
             for n, ax in entries if n == name]
+
+
+def _score_table(layers, wir):
+    """{bid: [(tensor name, axis, others)]}: the entries of _perm_axes that
+    weight_match scores, each with its _others, the boundaries whose
+    permutations its term reads. Measured statistics stay out, as they do
+    in l2_distance; no other boundary moves them."""
+    axes = _perm_axes(layers, wir)
+    return {bid: [(name, axis, _others(axes, bid, name)) for name, axis in entries
+                  if not stat_key(name)]
+            for bid, entries in axes.items()}
 
 
 def apply_perm(model, spec):
@@ -135,22 +147,29 @@ def apply_perm(model, spec):
 
 # ---------------------------------------------------------------- weight matching
 
+def _term(pa, pb, wir, bid, entry, perms):
+    """One tensor's share of bid's score matrix: a's units against b's
+    units, with b's other boundaries on that tensor gathered through perms.
+    One BLAS product for either axis; under the unit view it covers dense,
+    conv and flatten-then-dense consumers alike."""
+    name, axis, others = entry
+    units = wir[bid].units
+    b = pb[name]
+    for ob, ax in others:
+        b = _gather(b, ax, wir[ob].units, perms[ob])
+    a, b = _unit_view(pa[name], axis, units), _unit_view(b, axis, units)
+    return a @ b.T if axis == 0 else np.tensordot(a, b, axes=([0, 2], [0, 2]))
+
+
 def _score_matrix(layers, pa, pb, wir, bid, perms):
     """Cross inner products between a's units and b's units at one boundary,
     with b's other boundaries viewed through the current permutations.
-    pa and pb are the two models' parameters cast to float64. Measured
-    statistics stay out, as they do in l2_distance."""
-    axes = _perm_axes(layers, wir)
+    pa and pb are the two models' parameters cast to float64. The terms are
+    summed in _perm_axes order."""
     units = wir[bid].units
     score = np.zeros((units, units))
-    for name, axis in axes[bid]:
-        if name not in pa or stat_key(name):
-            continue
-        b = pb[name]
-        for ob, ax in _others(axes, bid, name):
-            b = _gather(b, ax, wir[ob].units, perms[ob])
-        a, b = _unit_view(pa[name], axis, units), _unit_view(b, axis, units)
-        score += a @ b.T if axis == 0 else np.einsum("ouk,ovk->uv", a, b)
+    for entry in _score_table(layers, wir)[bid]:
+        score += _term(pa, pb, wir, bid, entry, perms)
     return score
 
 
@@ -169,7 +188,15 @@ def weight_match(model_a, model_b, seed=0, max_sweeps=100):
     depend on those duals, except where two assignments' objectives differ by
     more than the solver's tightness tolerance and less than n times it
     (see `lap`).
+
+    Each score term is one tensor's product (_term). It is computed again
+    only when a boundary it reads has changed its permutation; the others
+    are reused, and summing them in table order gives bitwise the
+    from-scratch _score_matrix. The memo lives for one call.
     """
+    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) \
+            or max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be an integer >= 1, got {max_sweeps!r}")
     _check_same_arch(model_a, model_b)
     wir = wiring(model_a)
     layers = model_a.layers
@@ -177,13 +204,25 @@ def weight_match(model_a, model_b, seed=0, max_sweeps=100):
     perms = {bid: np.arange(n) for bid, n in model_a.boundary_map}
     pa = {k: v.astype(np.float64) for k, v in model_a.params.items()}
     pb = {k: v.astype(np.float64) for k, v in model_b.params.items()}
-    axes = _perm_axes(layers, wir)
-    neighbours = {bid: [ob for name, _ in axes[bid] for ob, _ in _others(axes, bid, name)]
+    table = _score_table(layers, wir)
+    neighbours = {bid: [ob for _, _, others in table[bid] for ob, _ in others]
                   for bid in bids}
     version = dict.fromkeys(bids, 0)   # bumped whenever a permutation changes
     solved_at = {}                      # neighbour versions at each last solve
+    terms = {}                          # (bid, tensor) -> (versions read, term)
     duals = dict.fromkeys(bids)
     rng = np.random.default_rng(seed)
+
+    def score(bid):
+        units = wir[bid].units
+        out = np.zeros((units, units))
+        for entry in table[bid]:
+            at = tuple(version[ob] for ob, _ in entry[2])
+            key = (bid, entry[0])
+            if key not in terms or terms[key][0] != at:
+                terms[key] = (at, _term(pa, pb, wir, bid, entry, perms))
+            out += terms[key][1]
+        return out
 
     def residual():
         return l2_distance(model_a, apply_perm(model_b, PermSpec(perms=dict(perms))))
@@ -197,8 +236,7 @@ def weight_match(model_a, model_b, seed=0, max_sweeps=100):
                 report.skipped += 1
                 continue
             solved_at[bid] = at
-            cost = _warm_start(_score_matrix(layers, pa, pb, wir, bid, perms),
-                               duals[bid])
+            cost = _warm_start(score(bid), duals[bid])
             res = solve_lap(cost, sense="maximize")
             duals[bid] = cost.duals
             report.solves += 1

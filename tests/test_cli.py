@@ -77,6 +77,13 @@ def test_dataset_part_test_requires_holdout(tmp_path, capsys):
     assert "hold_out" in capsys.readouterr().err
 
 
+def test_dataset_rejects_a_hold_out_that_is_no_integer(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dataset={**BLOBS, "hold_out": 64.5},
+                    model=MODEL, train=TRAIN)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert "hold_out" in capsys.readouterr().err
+
+
 def test_dataset_embedded_rejects_unknown_key(tmp_path, capsys):
     doc = {"kind": "embedded", "seed": 5, "n": 64, "dims": 32, "d_eff": 4,
            "classes": 3, "spread": 0.5, "ambiant": 0.2}
@@ -349,6 +356,37 @@ def test_match_emits_perm_report_and_aligned_checkpoint(tmp_path, ckpts):
     assert report["skipped"] == report["sweeps"] - 1
     aligned = load_checkpoint(str(run / "aligned.rbnc"))
     assert aligned.params["dense0.w"].shape == (16, 8)
+
+
+@pytest.mark.parametrize("value", [2.5, "3", True, 0], ids=["float", "string", "bool", "zero"])
+@pytest.mark.parametrize("command, key", [
+    ("match", "max_sweeps"), ("match", "seed"), ("match", "batch_size"),
+    ("merge", "iter_cap"), ("merge", "seed"), ("merge", "batch_size"),
+])
+def test_match_and_merge_reject_a_count_that_is_no_integer(tmp_path, ckpts, capsys,
+                                                           command, key, value):
+    if key == "seed" and value == 0:
+        value = -1                       # a seed may be 0
+    cfg = write_cfg(tmp_path, checkpoints=ckpts[:2] if command == "match" else ckpts,
+                    **{key: value})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("interp", "grid_points", 2.5), ("interp", "batch_size", True),
+    ("renorm", "stats_batch_size", "64"), ("prune", "batch_size", 0),
+    ("probe", "batch_size", 2.0), ("train", "seeds", [1.5]),
+])
+def test_other_commands_reject_a_count_that_is_no_integer(tmp_path, ckpts, capsys,
+                                                          command, key, value):
+    doc = {"train": {"model": MODEL, "train": TRAIN},
+           "interp": {"checkpoints": ckpts[:2]}, "renorm": {"checkpoints": ckpts[:2]},
+           "prune": {"checkpoint": ckpts[0], "repair": "reset"},
+           "probe": {"checkpoint": ckpts[0]}}[command]
+    cfg = write_cfg(tmp_path, dataset=BLOBS, **doc, **{key: value})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_match_activation_needs_dataset(tmp_path, ckpts):

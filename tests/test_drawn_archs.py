@@ -6,8 +6,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from rebasin.lap import solve_lap
-from rebasin.match import _score_matrix, apply_perm, invert, random_perm, weight_match
-from rebasin.model import POST, PRE, _walk, build_model, forward, wiring
+from rebasin.match import (_gather, _others, _perm_axes, _score_matrix, _unit_view, apply_perm,
+                           invert, random_perm, weight_match)
+from rebasin.model import POST, PRE, _walk, build_model, forward, stat_key, wiring
 from rebasin.ops import conv_out_hw
 from rebasin.probes import l2_distance
 from helpers import bits_equal, models_bit_equal, rand_batch, seed_params
@@ -100,6 +101,39 @@ def test_score_matrix_is_the_distance_change_of_each_boundary(a, seed):
             vals.append(l2_distance(a, apply_perm(b, spec)) ** 2
                         + 2 * score[np.arange(n), q].sum())
         assert max(vals) - min(vals) <= 1e-12 * max(abs(v) for v in vals)
+
+
+def einsum_score(layers, pa, pb, wir, bid, perms):
+    """The score matrix with its consumer term as einsum("ouk,ovk->uv"),
+    as it was computed before that term became one GEMM."""
+    axes = _perm_axes(layers, wir)
+    units = wir[bid].units
+    score = np.zeros((units, units))
+    for name, axis in axes[bid]:
+        if name not in pa or stat_key(name):
+            continue
+        b = pb[name]
+        for ob, ax in _others(axes, bid, name):
+            b = _gather(b, ax, wir[ob].units, perms[ob])
+        a, b = _unit_view(pa[name], axis, units), _unit_view(b, axis, units)
+        score += a @ b.T if axis == 0 else np.einsum("ouk,ovk->uv", a, b)
+    return score
+
+
+@SETTINGS
+@given(a=models(), seed=st.integers(0, 1000))
+def test_score_matrix_gemm_is_the_einsum_formula(a, seed):
+    """Every boundary's score under random perms of all boundaries stays
+    within 1e-12 of the einsum formula, relative to its largest entry."""
+    b = seed_params(a.copy(), seed)
+    pa = {k: v.astype(np.float64) for k, v in a.params.items()}
+    pb = {k: v.astype(np.float64) for k, v in b.params.items()}
+    wir = wiring(a)
+    perms = random_perm(a, seed=seed + 1).perms
+    for bid, _ in a.boundary_map:
+        got = _score_matrix(a.layers, pa, pb, wir, bid, perms)
+        want = einsum_score(a.layers, pa, pb, wir, bid, perms)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @SETTINGS

@@ -204,18 +204,39 @@ def cold_weight_match(a, b, seed, max_sweeps):
     return perms, objective
 
 
-@pytest.mark.parametrize("max_sweeps", [100, 3])
-def test_skips_and_warm_starts_match_cold_reference(max_sweeps):
-    a = mlp(25, widths=(32, 32, 32), in_dim=20, classes=5)
-    b = mlp(26, widths=(32, 32, 32), in_dim=20, classes=5)
+def _deep_mlp(seed):
+    return mlp(seed, widths=(32, 32, 32), in_dim=20, classes=5)
+
+
+def _bn_cnn(seed):
+    """Conv consumers with k*k > 1, a flatten-then-dense consumer, BatchNorm."""
+    return seed_params(build_model(small_cnn_desc()), seed)
+
+
+@pytest.mark.parametrize("make, seeds, max_sweeps", [
+    (_deep_mlp, (25, 26), 100), (_deep_mlp, (25, 26), 3),
+    (_bn_cnn, (27, 28), 100), (_bn_cnn, (27, 28), 3),
+], ids=["100", "3", "bn_cnn-100", "bn_cnn-3"])
+def test_skips_and_warm_starts_match_cold_reference(make, seeds, max_sweeps):
+    """Skipped solves, warm starts and the per-term score memo give bitwise
+    the perms and exactly the objectives of solving every visit cold from
+    _score_matrix."""
+    a, b = make(seeds[0]), make(seeds[1])
     perm, report = weight_match(a, b, seed=4, max_sweeps=max_sweeps)
     want, objective = cold_weight_match(a, b, seed=4, max_sweeps=max_sweeps)
     assert report.converged == (max_sweeps == 100)
     assert report.skipped > 0
-    assert report.solves + report.skipped == 3 * report.sweeps
+    assert report.solves + report.skipped == len(a.boundary_map) * report.sweeps
     for bid, v in want.items():
         assert perm.perms[bid].tobytes() == v.tobytes()
     assert report.objective == objective
+
+
+@pytest.mark.parametrize("max_sweeps", [0, -1, 2.0, True])
+def test_weight_match_rejects_a_sweep_cap_that_is_no_count(max_sweeps):
+    a, b = mlp(25), mlp(26)
+    with pytest.raises(ValueError, match="max_sweeps"):
+        weight_match(a, b, max_sweeps=max_sweeps)
 
 
 # ---------------------------------------------------------------- activation matching
