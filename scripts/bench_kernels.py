@@ -17,7 +17,11 @@ and backward, without the input gradient train skips) and `update` (the
 momentum step), as `train` runs them. A `score` table times one
 `weight_match` score matrix (`_score_matrix`, every term computed from
 scratch) per boundary of two 784-input MLPs, 3x256 and 2x512, under random
-permutations.
+permutations. A `curve` table times `eval_curve` over the default 11-point
+grid between two freshly initialized 784-input 3x256 MLPs, on 1200 train and
+600 test rows (the `pair_tour` sizes of the pipeline benchmark), without
+re-normalization (`none`), with single-pass `repair` and with sequential
+`repair`.
 Each figure is the median of N calls in ms.
 
     python3 scripts/bench_kernels.py [--batches 32 256 512] [--repeats 7]
@@ -33,17 +37,18 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from rebasin.data import Dataset
+from rebasin.data import Dataset, hold_out, synth_embedded
 from rebasin.match import _score_matrix, random_perm
 from rebasin.model import (WEIGHT_KINDS, _backward, _forward_cached, _layer_fwd, build_model,
                            cnn_descriptor, mlp_descriptor, wiring)
 from rebasin.ops import softmax_cross_entropy
-from rebasin.renorm import measure_stats, repair
+from rebasin.renorm import eval_curve, measure_stats, repair
 from rebasin.train import _sgd_update, init_params
 
 REPAIR_BATCHES = 4
 STEP_NETS = {"3x256": [256] * 3, "6x256": [256] * 6}
 SCORE_NETS = {"3x256": [256] * 3, "2x512": [512] * 2}
+CURVES = (("none", False), ("repair", False), ("repair", True))
 
 
 def convnet():
@@ -130,6 +135,18 @@ def score_rows(hidden, repeats):
             for bid, n in a.boundary_map]
 
 
+def curve_rows(repeats):
+    """(mode, sequential, ms) of eval_curve on a 784-input 3x256 MLP pair."""
+    pool = synth_embedded(seed=0, n=1800, dims=784, d_eff=16, classes=10, spread=0.4,
+                          clusters_per_class=8)
+    tr, te = hold_out(pool, 600)
+    a, b = (init_params(build_model(mlp_descriptor(784, [256] * 3, 10)),
+                        "kaiming_uniform", s) for s in (0, 1))
+    return [(mode, seq, median_ms(lambda: eval_curve(a, b, tr, test_ds=te, mode=mode,
+                                                     sequential=seq), repeats))
+            for mode, seq in CURVES]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -165,6 +182,9 @@ def main():
     for name, hidden in SCORE_NETS.items():
         for bid, units, ms in score_rows(hidden, args.repeats):
             print(f"{'score':<10}{name:>9}{bid:>7}{units:>9}{ms:>9.2f}", flush=True)
+    print(f"{'# curve':<10}{'mode':>9}{'seq':>7}{'ms':>9}")
+    for mode, seq, ms in curve_rows(args.repeats):
+        print(f"{'curve':<10}{mode:>9}{'yes' if seq else 'no':>7}{ms:>9.2f}", flush=True)
 
 
 if __name__ == "__main__":

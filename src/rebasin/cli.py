@@ -47,6 +47,13 @@ def _count(key, value, low=1):
     return value
 
 
+def _flag(key, value):
+    """A config field's value, checked and not coerced: a JSON bool."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _dataset(doc, pools=None):
     """The dataset a config doc names. pools, a dict that lives for one
     command, keeps each generated pool under its generation arguments (the
@@ -215,7 +222,7 @@ def _cmd_curve(cfg, run, default_mode):
     grid, quick = _grid(cfg)
     report = eval_curve(a, b, ds, test_ds=test, grid=grid, quick=quick,
                         mode=cfg.get("mode", default_mode),
-                        sequential=bool(cfg.get("sequential", False)),
+                        sequential=_flag("sequential", cfg.get("sequential", False)),
                         batch_size=_count("batch_size", cfg.get("batch_size", 512)),
                         stats_batch_size=_count("stats_batch_size",
                                                 cfg.get("stats_batch_size", 256)))
@@ -272,8 +279,9 @@ def _cmd_prune(cfg, run):
     batch_size = _count("batch_size", cfg.get("batch_size", 256))
     smap = score(model, method=method,
                  dataset=ds if method == "diag_fisher" else None,
-                 scale_by_weight_sq=bool(cfg.get("scale_by_weight_sq", True)),
-                 exempt_first=bool(cfg.get("exempt_first", False)))
+                 scale_by_weight_sq=_flag("scale_by_weight_sq",
+                                          cfg.get("scale_by_weight_sq", True)),
+                 exempt_first=_flag("exempt_first", cfg.get("exempt_first", False)))
     rows = []
     for s in cfg.get("sparsities", [0.0, 0.25, 0.5, 0.75, 0.9]):
         mask = mask_from_scores(smap, float(s),
@@ -301,7 +309,7 @@ def _cmd_probe(cfg, run):
     probe = channel_probe(model, _dataset(cfg["dataset"]),
                           batch_size=_count("batch_size", cfg.get("batch_size", 256)),
                           max_batches=cfg.get("max_batches"),
-                          with_fisher=bool(cfg.get("with_fisher", True)))
+                          with_fisher=_flag("with_fisher", cfg.get("with_fisher", True)))
     probe.write_csv(os.path.join(run, "probe.csv"))
     _write_json(os.path.join(run, "probe.json"), probe.to_jsonable())
     return EXIT_OK

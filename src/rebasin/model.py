@@ -477,8 +477,7 @@ def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
                                 collect_norm_stats)
         if caches is None:
             del cache   # conv cols are large; an eval pass drops them at once
-            if not np.all(np.isfinite(cur)):
-                raise NonFiniteError(spec.name)
+            _check_finite(spec.name, cur)
         else:
             caches.append((spec, cache))
         for bid, phase in at.get(idx, ()):
@@ -487,6 +486,23 @@ def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
             if phase == PRE and tracked and f"stats.{bid}.mean" in p:
                 _update_tracked(p, bid, cur)
     return cur, captured
+
+
+def _check_finite(layer_name, value):
+    """An eval pass's check of one layer's output."""
+    if not np.all(np.isfinite(value)):
+        raise NonFiniteError(layer_name)
+
+
+def _fed(feed, k, x):
+    """Batch k of a pass, whose input batch is x, as (start layer, walk
+    input). Without a feed that is layer 0 and x. A feed (start, act)
+    stands act(k), the output of layer start - 1 for that batch, in for the
+    layers before start."""
+    if feed is None:
+        return 0, x
+    start, act = feed
+    return start, act(k)
 
 
 def _check_batch(model, x):
@@ -499,19 +515,23 @@ def _check_batch(model, x):
 
 
 def forward(model, x, taps=None, mode="eval", update_stats=None,
-            collect_norm_stats=None):
+            collect_norm_stats=None, _start=0):
     """Evaluate the model on a batch.
 
     taps: optional iterable of (boundary_id, phase) pairs to capture; when
     given, returns (logits, [ActivationTap, ...]) in request order.
     mode "train" makes batchnorm use batch statistics (and, when update_stats
     is true, update running statistics and any tracked boundary statistics).
+    With _start, x is the output of layer _start - 1, not an input batch:
+    only the layers from _start on run, and a tap at layer _start - 1
+    captures x (see _fed).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if update_stats is None:
         update_stats = mode == "train"
-    x = _check_batch(model, x)
+    if not _start:
+        x = _check_batch(model, x)
 
     requests = [tuple(t) for t in taps] if taps is not None else []
     units = dict(model.boundary_map)
@@ -522,7 +542,14 @@ def forward(model, x, taps=None, mode="eval", update_stats=None,
     train = mode == "train"
     cur, captured = _walk(model, x, batch_stats=True if train else None,
                           update_stats=update_stats and train, track=True,
-                          taps=requests, collect_norm_stats=collect_norm_stats)
+                          taps=requests, collect_norm_stats=collect_norm_stats,
+                          start=_start)
+    if _start and requests:
+        wir = wiring(model)
+        for bid, phase in requests:
+            b = wir[bid]
+            if (b.pre_tap if phase == PRE else b.post_tap) == _start - 1:
+                captured[(bid, phase)] = x
     if taps is None:
         return cur
     return cur, [ActivationTap(bid, phase, captured[(bid, phase)])

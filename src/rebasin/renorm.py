@@ -7,6 +7,7 @@ spatial positions.  All statistics mathematics runs in float64; corrections
 are stored as float32 model parameters.
 """
 import csv
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -14,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import _atomic_write
-from .model import (PRE, LayerSpec, _check_batch, _check_same_arch, _walk,
-                    forward, wiring)
+from .model import (PRE, WEIGHT_KINDS, LayerSpec, _check_batch, _check_finite,
+                    _check_same_arch, _fed, _layer_fwd, _walk, forward, wiring)
 from .ops import DEAD_STD, Moments
-from .train import evaluate
+from .train import _eval_batches, evaluate
 
 REPAIR_MODES = ("repair", "rescale", "rescale_avg", "reshift")
 RENORM_MODES = ("none", "reset") + REPAIR_MODES
@@ -78,6 +79,16 @@ class CurveReport:
 
 # ---------------------------------------------------------------- interpolation
 
+def _lerp(a, b, lam):
+    """(1-lam)*a + lam*b computed in float64 and cast back to a's dtype."""
+    out = a.astype(np.float64)
+    out *= 1.0 - lam
+    part = b.astype(np.float64)
+    part *= lam
+    out += part
+    return out.astype(a.dtype)
+
+
 def interpolate(model_a, model_b, lam):
     """Convex combination (1-lam)*a + lam*b of every tensor, running
     statistics included (variances combine elementwise like everything else).
@@ -96,9 +107,7 @@ def interpolate(model_a, model_b, lam):
             l = np.asarray(l, dtype=np.float64)
             if np.any(l < 0) or np.any(l > 1):
                 raise ValueError(f"lambda for {k} outside [0, 1]")
-            a64 = model_a.params[k].astype(np.float64)
-            b64 = model_b.params[k].astype(np.float64)
-            out.params[k] = ((1.0 - l) * a64 + l * b64).astype(model_a.params[k].dtype)
+            out.params[k] = _lerp(model_a.params[k], model_b.params[k], l)
         return out
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
@@ -109,9 +118,7 @@ def interpolate(model_a, model_b, lam):
         return model_b.copy()
     out = model_a.copy()
     for k in out.params:
-        a64 = model_a.params[k].astype(np.float64)
-        b64 = model_b.params[k].astype(np.float64)
-        out.params[k] = ((1.0 - lam) * a64 + lam * b64).astype(model_a.params[k].dtype)
+        out.params[k] = _lerp(model_a.params[k], model_b.params[k], lam)
     return out
 
 
@@ -132,21 +139,23 @@ def _stat_batches(dataset, batch_size, max_batches):
 
 
 def measure_stats(model, dataset, batch_size=256, boundaries=None, phase=PRE,
-                  max_batches=None):
+                  max_batches=None, _feed=None):
     """Per-channel mean and std of boundary activations over the dataset.
 
     One pass in deterministic batch order over equal-size batches (remainder
     dropped); conv maps count every spatial position as a sample. Batches
     merge through a float64 Moments accumulator, so the result matches a
-    two-pass computation over the same batches to rounding.
+    two-pass computation over the same batches to rounding. _feed stands
+    activations in for the batches' first layers (see model._fed).
     """
     bids = list(boundaries) if boundaries is not None else \
         [bid for bid, _ in model.boundary_map]
     taps = [(bid, phase) for bid in bids]
     moments = {bid: Moments() for bid in bids}
     nb = 0
-    for xb in _stat_batches(dataset, batch_size, max_batches):
-        _, tap_vals = forward(model, xb, taps=taps)
+    for k, xb in enumerate(_stat_batches(dataset, batch_size, max_batches)):
+        start, x = _fed(_feed, k, xb)
+        _, tap_vals = forward(model, x, taps=taps, _start=start)
         for tap in tap_vals:
             moments[tap.boundary_id].add(_channel_rows(tap.value))
         nb += 1
@@ -194,12 +203,14 @@ def tracked_stats(model):
 
 # ---------------------------------------------------------------- reset
 
-def reset_bn(model, dataset, batch_size=256, max_batches=None):
+def reset_bn(model, dataset, batch_size=256, max_batches=None, _feed=None):
     """Re-accumulate batchnorm running statistics from scratch.
 
     Statistics reset to 0/1, then one deterministic train-mode pass stores
     the equal-weight average of per-batch means and per-batch unbiased
     variances.  No-op (with a warning) when the model has no batchnorm.
+    _feed stands activations in for the batches' first layers (see
+    model._fed).
     """
     out = model.copy()
     bn_names = [s.name for s in out.layers if s.kind == "batchnorm"]
@@ -211,8 +222,10 @@ def reset_bn(model, dataset, batch_size=256, max_batches=None):
         out.params[f"{name}.running_var"][:] = 1.0
     sink = {}
     nb = 0
-    for xb in _stat_batches(dataset, batch_size, max_batches):
-        forward(out, xb, mode="train", update_stats=False, collect_norm_stats=sink)
+    for k, xb in enumerate(_stat_batches(dataset, batch_size, max_batches)):
+        start, x = _fed(_feed, k, xb)
+        forward(out, x, mode="train", update_stats=False, collect_norm_stats=sink,
+                _start=start)
         nb += 1
     if nb == 0:
         raise ValueError("dataset smaller than one batch")
@@ -267,13 +280,16 @@ def _correction(mode, mu, sigma, goal_mean, goal_std):
 
 
 def _eval_walk(model, x, start=0, stop=None):
-    """x walked through layers [start, stop) as an eval forward walks them."""
+    """x walked through layers [start, stop) as an eval forward walks them;
+    from layer 0, x is checked as a batch of the model's inputs."""
+    if not start:
+        x = _check_batch(model, x)
     return _walk(model, x, batch_stats=None, update_stats=False, track=False,
                  start=start, stop=stop)[0]
 
 
 def repair(model, goals, dataset, mode="repair", sequential=False,
-           batch_size=256, max_batches=None):
+           batch_size=256, max_batches=None, _feed=None):
     """Attach per-channel affine corrections so every hidden boundary's
     pre-activation statistics move toward the goal statistics.
 
@@ -288,7 +304,8 @@ def repair(model, goals, dataset, mode="repair", sequential=False,
     corrected boundary and resumes the walk there, so it holds one
     boundary's activations over max_batches batches at a time.  Its last
     walk, to the logits, checks every layer of the result for non-finite
-    values.
+    values. _feed stands activations in for the batches' first layers (see
+    model._fed).
     """
     if mode not in REPAIR_MODES:
         raise ValueError(f"unknown repair mode {mode!r}")
@@ -303,13 +320,15 @@ def repair(model, goals, dataset, mode="repair", sequential=False,
         acts = None
     else:
         current = measure_stats(out, dataset, batch_size=batch_size,
-                                max_batches=max_batches)
+                                max_batches=max_batches, _feed=_feed)
     for bid in bids:     # boundary_map lists boundaries in producer order
         if sequential:
             stop = wiring(out)[bid].pre_tap + 1
             if acts is None:     # stream the inputs, keep bid's activations
-                acts = [_eval_walk(out, _check_batch(out, xb), stop=stop)
-                        for xb in _stat_batches(dataset, batch_size, max_batches)]
+                acts = []
+                for k, xb in enumerate(_stat_batches(dataset, batch_size, max_batches)):
+                    fed, x = _fed(_feed, k, xb)
+                    acts.append(_eval_walk(out, x, fed, stop))
                 if not acts:
                     raise ValueError("dataset smaller than one batch")
             else:        # resume at the last correction, in place
@@ -374,6 +393,50 @@ def _barrier(lams, vals, higher_is_worse):
     return worst
 
 
+class _SharedPrefix:
+    """A curve's prefix, layers [0, start), and both endpoints' outputs of it
+    on the batches of each pass the curve makes. The prefix ends at the first
+    weight layer when that layer is dense; its output is then affine in lam,
+    so each grid point mixes the endpoints' outputs instead of running it.
+    When the first weight layer is a conv, start is 0 and nothing is shared.
+
+    passes maps a pass's name to a function yielding its input batches, as
+    the function the pass feeds reads them.
+    """
+
+    def __init__(self, model_a, model_b, passes):
+        first = next(i for i, s in enumerate(model_a.layers) if s.kind in WEIGHT_KINDS)
+        self.spec = model_a.layers[first]
+        self.start = first + 1 if self.spec.kind == "dense" else 0
+        self.models = (model_a, model_b)
+        self.passes = passes
+        self._ends = {}     # pass -> [(a's output, b's output) per batch]
+
+    def feed(self, name, lam):
+        """The feed (see model._fed) of pass name's batches at lam; None when
+        the prefix is empty."""
+        if not self.start:
+            return None
+        return self.start, functools.partial(self._output, name, lam)
+
+    def _output(self, name, lam, k):
+        """Batch k's prefix output at lam: an endpoint's own at 0 and 1, else
+        the two mixed as interpolate mixes tensors, checked as an eval walk
+        checks the prefix's last layer. A pass's endpoint outputs are
+        computed when it first reads one."""
+        if name not in self._ends:
+            self._ends[name] = [self._endpoint_outputs(x) for x in self.passes[name]()]
+        ha, hb = self._ends[name][k]
+        h = ha if lam == 0.0 else hb if lam == 1.0 else _lerp(ha, hb, lam)
+        _check_finite(self.spec.name, h)
+        return h
+
+    def _endpoint_outputs(self, x):
+        u = _eval_walk(self.models[0], x, stop=self.start - 1)   # no parameters
+        return tuple(_layer_fwd(self.spec, m.params, u, False, False, None)[0]
+                     for m in self.models)
+
+
 def eval_curve(model_a, model_b, train_ds, test_ds=None, grid=None, quick=False,
                mode="none", sequential=False, batch_size=512,
                stats_batch_size=256):
@@ -384,6 +447,14 @@ def eval_curve(model_a, model_b, train_ds, test_ds=None, grid=None, quick=False,
     lam-mix of statistics measured once at each endpoint.  The barrier is the
     worst gap to the linear baseline between the endpoints (for accuracy, the
     worst shortfall).
+
+    Grid points share the endpoints' first-dense-layer outputs: each pass
+    computes both endpoints' outputs of the layers up to the first dense one
+    once per batch, and each point walks on from their lam-mix. Interior
+    points therefore match evaluate(interpolate(a, b, lam)) (and its reset
+    or repaired model) to float32 rounding, while the endpoints stay bitwise
+    equal to it. A model whose first weight layer is a conv takes the
+    unshared path.
     """
     if mode not in RENORM_MODES:
         raise ValueError(f"mode must be one of {RENORM_MODES}")
@@ -396,23 +467,33 @@ def eval_curve(model_a, model_b, train_ds, test_ds=None, grid=None, quick=False,
         raise ValueError("grid values must lie in [0, 1]")
     if lams[0] != 0.0 or lams[-1] != 1.0:
         raise ValueError("grid must include both endpoints 0 and 1")
+    _check_same_arch(model_a, model_b)
 
+    prefix = _SharedPrefix(model_a, model_b, {
+        "train": lambda: (x for x, _ in _eval_batches(train_ds, batch_size)),
+        "test": lambda: (x for x, _ in _eval_batches(test_ds, batch_size)),
+        "stats": lambda: _stat_batches(train_ds, stats_batch_size, None),
+    })
     goals_end = None
     if mode in REPAIR_MODES:
-        goals_end = (measure_stats(model_a, train_ds, batch_size=stats_batch_size),
-                     measure_stats(model_b, train_ds, batch_size=stats_batch_size))
+        goals_end = tuple(measure_stats(m, train_ds, batch_size=stats_batch_size,
+                                        _feed=prefix.feed("stats", lam))
+                          for m, lam in ((model_a, 0.0), (model_b, 1.0)))
 
     def eval_point(lam):
         m = interpolate(model_a, model_b, lam)
         if mode == "reset":
-            m = reset_bn(m, train_ds, batch_size=stats_batch_size)
+            m = reset_bn(m, train_ds, batch_size=stats_batch_size,
+                         _feed=prefix.feed("stats", lam))
         elif goals_end is not None:
             goals = mix_stats(goals_end[0], goals_end[1], lam)
             m = repair(m, goals, train_ds, mode=mode, sequential=sequential,
-                       batch_size=stats_batch_size)
-        row = evaluate(m, train_ds, batch_size=batch_size)
+                       batch_size=stats_batch_size, _feed=prefix.feed("stats", lam))
+        row = evaluate(m, train_ds, batch_size=batch_size,
+                       _feed=prefix.feed("train", lam))
         if test_ds is not None:
-            row += evaluate(m, test_ds, batch_size=batch_size)
+            row += evaluate(m, test_ds, batch_size=batch_size,
+                            _feed=prefix.feed("test", lam))
         return row
 
     rows = [eval_point(lam) for lam in lams]

@@ -2,8 +2,10 @@
 contract: 0 success, 2 validation/config trouble, 3 numerical failure."""
 import json
 import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +391,23 @@ def test_other_commands_reject_a_count_that_is_no_integer(tmp_path, ckpts, capsy
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("renorm", "sequential", "false"), ("prune", "scale_by_weight_sq", 0),
+    ("prune", "exempt_first", 1), ("probe", "with_fisher", None),
+])
+def test_commands_reject_a_flag_that_is_no_bool(tmp_path, ckpts, capsys,
+                                                command, key, value):
+    doc = {"renorm": {"checkpoints": ckpts[:2]},
+           "prune": {"checkpoint": ckpts[0], "method": "diag_fisher"},
+           "probe": {"checkpoint": ckpts[0]}}[command]
+    cfg = write_cfg(tmp_path, dataset=BLOBS, **doc, **{key: value})
+    out = tmp_path / "r"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not any(f.startswith(("curve", "report", "sparsity", "probe"))
+                   for d in os.listdir(out) for f in os.listdir(out / d))
+
+
 def test_match_activation_needs_dataset(tmp_path, ckpts):
     cfg = write_cfg(tmp_path, checkpoints=ckpts[:2], matcher="activation")
     assert main(["match", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
@@ -458,6 +477,28 @@ def test_snapshot_reproduces_run(tmp_path, ckpts):
     first = (out / "interp-000" / "curve.csv").read_bytes()
     second = (out / "interp-001" / "curve.csv").read_bytes()
     assert first == second
+
+
+def test_renorm_in_two_processes_writes_identical_bytes(tmp_path, ckpts):
+    """Sequential repair over the default grid, run twice by `python -m
+    rebasin.cli` from one config snapshot in one environment."""
+    split = {**BLOBS, "hold_out": 64}
+    cfg = write_cfg(tmp_path, checkpoints=ckpts[:2], dataset=split,
+                    test_dataset={**split, "part": "test"}, sequential=True,
+                    stats_batch_size=64)
+    out = tmp_path / "runs"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    for _ in range(2):
+        subprocess.run([sys.executable, "-m", "rebasin.cli", "renorm", "--config", cfg,
+                        "--out", str(out)], env=env, check=True, capture_output=True,
+                       timeout=120)
+    runs = [out / d for d in run_dirs(out, "renorm")]
+    assert len(runs) == 2
+    assert json.loads((runs[0] / "report.json").read_text())["sequential"] is True
+    for name in ("config.json", "curve.csv", "report.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------- merge

@@ -6,13 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from rebasin import ops
+from rebasin import ops, renorm
 from rebasin.data import synth_blobs
 from rebasin.model import (POST, PRE, LayerSpec, NonFiniteError, build_model, forward,
                            mlp_descriptor)
 from rebasin.renorm import (
+    RENORM_MODES,
     REPAIR_MODES,
     ChannelStats,
+    _SharedPrefix,
     _correction,
     _insert_after_pre_tap,
     _next_name,
@@ -491,6 +493,120 @@ def test_repair_on_less_than_one_batch_raises(sequential):
     goals = measure_stats(a, ds, batch_size=64)
     with pytest.raises(ValueError, match="dataset smaller than one batch"):
         repair(a, goals, blobs(seed=14, n=32), sequential=sequential, batch_size=64)
+
+
+# ---------------------------------------------------------------- shared first-layer outputs
+
+def _prefix_pair(norm):
+    """A trained MLP pair (norm after each hidden dense layer, or none) with
+    train and test data; the test split ends in a partial batch of 128."""
+    key = ("prefix", norm)
+    if key not in _cache:
+        ds = blobs(seed=11)
+        cfg = TrainConfig(base_lr=0.1, batch_size=64, epochs=3, seed=0)
+        model = build_model(mlp_descriptor(8, [32, 32], 4, norm=norm))
+        a, b = (train(init_params(model, "kaiming_uniform", s), ds, cfg)[0] for s in (1, 2))
+        _cache[key] = (a, b, ds, blobs(seed=11, n=200))
+    return _cache[key]
+
+
+def _point_reference(a, b, lam, ds, test_ds, mode, sequential, batch_size,
+                     stats_batch_size):
+    """One grid point computed from its own model: interpolated, reset or
+    repaired, and evaluated from the input."""
+    m = interpolate(a, b, lam)
+    if mode == "reset":
+        m = reset_bn(m, ds, batch_size=stats_batch_size)
+    elif mode in REPAIR_MODES:
+        goals = mix_stats(measure_stats(a, ds, batch_size=stats_batch_size),
+                          measure_stats(b, ds, batch_size=stats_batch_size), lam)
+        m = repair(m, goals, ds, mode=mode, sequential=sequential,
+                   batch_size=stats_batch_size)
+    return evaluate(m, ds, batch_size=batch_size) + evaluate(m, test_ds, batch_size=batch_size)
+
+
+def _rows(rep):
+    return list(zip(rep.train_loss, rep.train_acc, rep.test_loss, rep.test_acc))
+
+
+_CURVE_MODES = [(m, False) for m in RENORM_MODES] + [(m, True) for m in REPAIR_MODES]
+
+
+@pytest.mark.filterwarnings("ignore:no batchnorm")
+@pytest.mark.parametrize("mode, sequential", _CURVE_MODES)
+@pytest.mark.parametrize("norm", [None, "batchnorm"])
+def test_shared_prefix_curve_matches_the_per_point_models(norm, mode, sequential):
+    # without a norm b0's pre-activation tap is the first dense layer itself
+    a, b, ds, te = _prefix_pair(norm)
+    grid = [0.0, 0.3, 0.5, 1.0]
+    rep = eval_curve(a, b, ds, test_ds=te, grid=grid, mode=mode, sequential=sequential,
+                     batch_size=128, stats_batch_size=64)
+    for lam, got in zip(grid, _rows(rep)):
+        want = _point_reference(a, b, lam, ds, te, mode, sequential, 128, 64)
+        if lam in (0.0, 1.0):
+            assert got == want
+        else:      # float32 rounding of the mixed first-layer output
+            assert got[0] == pytest.approx(want[0], rel=1e-6, abs=0)
+            assert got[2] == pytest.approx(want[2], rel=1e-6, abs=0)
+
+
+def test_curve_runs_the_first_dense_layer_once_per_batch_and_endpoint(monkeypatch):
+    a, b, ds, te = _prefix_pair(None)
+    shapes = []
+    dense_fwd = ops.dense_fwd
+
+    def counted(x, w, bias):
+        shapes.append(w.shape)
+        return dense_fwd(x, w, bias)
+    monkeypatch.setattr(ops, "dense_fwd", counted)
+    eval_curve(a, b, ds, test_ds=te, mode="repair", sequential=True, batch_size=128,
+               stats_batch_size=64)
+    # 4 train and 2 test batches of 128, 8 statistics batches of 64
+    assert shapes.count(a.params["dense0.w"].shape) == 2 * (4 + 2 + 8)
+    assert shapes.count(a.params["dense1.w"].shape) > 11 * (4 + 2)
+
+
+@pytest.mark.parametrize("mode, sequential", [("reset", False), ("repair", False),
+                                              ("repair", True)])
+def test_convnet_curve_is_bitwise_the_per_point_models(mode, sequential):
+    image = {"dims": 2 * 64, "image_shape": (2, 8, 8), "classes": 3}
+    ds, te = blobs(seed=12, n=96, **image), blobs(seed=12, n=40, **image)
+    a, b = (seed_params(build_model(small_cnn_desc()), s) for s in (30, 31))
+    grid = [0.0, 0.5, 1.0]
+    rep = eval_curve(a, b, ds, test_ds=te, grid=grid, mode=mode, sequential=sequential,
+                     batch_size=32, stats_batch_size=32)
+    assert _rows(rep) == [_point_reference(a, b, lam, ds, te, mode, sequential, 32, 32)
+                          for lam in grid]
+
+
+def test_nan_first_weight_raises_at_the_first_interior_point(monkeypatch):
+    a, b, ds, te = _prefix_pair(None)
+    b = b.copy()
+    b.params["dense0.w"][0, 0] = np.nan
+    seen = []
+    interp = renorm.interpolate
+    monkeypatch.setattr(renorm, "interpolate",
+                        lambda m1, m2, lam: seen.append(lam) or interp(m1, m2, lam))
+    with pytest.raises(NonFiniteError) as err:
+        eval_curve(a, b, ds, test_ds=te, batch_size=128)
+    assert err.value.layer_name == "dense0"
+    assert seen == [0.0, 0.1]
+
+
+def test_linspace_grid_reports_as_its_python_floats(tmp_path):
+    a, b, ds, te = _prefix_pair(None)
+    grid = np.linspace(0.0, 1.0, 11)
+    reps = [eval_curve(a, b, ds, test_ds=te, grid=g, mode="repair", sequential=True,
+                       batch_size=128, stats_batch_size=64)
+            for g in (grid, [float(l) for l in grid])]
+    for i, rep in enumerate(reps):
+        rep.write_csv(tmp_path / f"{i}.csv")
+    assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+    assert reps[0].summary() == reps[1].summary()
+    # a NumPy lam mixes in float64 and still feeds float32 activations
+    prefix = _SharedPrefix(a, b, {"train": lambda: (x for x, _ in ds.batches(
+        128, shuffle=False, drop_last=False))})
+    assert prefix.feed("train", np.float64(0.3))[1](0).dtype == np.float32
 
 
 # ---------------------------------------------------------------- data-independent

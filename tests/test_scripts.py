@@ -22,7 +22,7 @@ def test_script_loads(path, monkeypatch):
 @pytest.mark.parametrize("script, args, rows", [
     ("bench_lap", ["--sizes", "8"], ["random", "zero", "rank1", "corr", "warm"]),
     ("bench_kernels", ["--batches", "2", "--repeats", "1"],
-     ["conv0", "bn0", "total", "repair", "step", "score"]),
+     ["conv0", "bn0", "total", "repair", "step", "score", "curve"]),
 ], ids=["bench_lap", "bench_kernels"])
 def test_bench_script_runs(script, args, rows):
     path = SCRIPTS[0].parent / f"{script}.py"
