@@ -1,6 +1,8 @@
 """Command line surface: each subcommand wires library modules into one
 experiment recipe and writes its outputs into a fresh, append-only run
-directory together with the effective config snapshot that reproduces it.
+directory together with the effective config snapshot that reproduces it;
+a run that completes also records, in env.json, the build and thread
+settings its bits depend on.
 
 Exit codes: 0 success, 2 config/validation trouble, 3 numerical failure.
 """
@@ -152,6 +154,17 @@ def _write_json(path, doc):
     with _atomic_write(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _run_env():
+    """What a run's bits depend on besides its config: the NumPy and BLAS
+    build, the BLAS thread settings and the CPU count (see README)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {var: os.environ.get(var) for var in
+                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count()}
 
 
 def _load_models(paths, want=None):
@@ -397,6 +410,7 @@ def main(argv=None):
         run = _new_run_dir(args.out, args.command)
         _write_json(os.path.join(run, "config.json"), cfg)
         code = _HANDLERS[args.command](cfg, run)
+        _write_json(os.path.join(run, "env.json"), _run_env())
         print(run)
         return code
     except (DivergedError, NonFiniteError, FloatingPointError,

@@ -33,15 +33,14 @@ class Dataset:
 
     def batches(self, batch_size, seed=0, epoch=0, shuffle=True, drop_last=True):
         """Yield (inputs, labels) minibatches; order is a pure function of
-        (seed, epoch)."""
+        (seed, epoch). Unshuffled batches are views of the dataset's arrays,
+        shuffled ones copies."""
         n = self.n
-        if shuffle:
-            order = np.random.default_rng([int(seed), int(epoch)]).permutation(n)
-        else:
-            order = np.arange(n)
+        order = np.random.default_rng([int(seed), int(epoch)]).permutation(n) \
+            if shuffle else None
         stop = (n // batch_size) * batch_size if drop_last else n
         for lo in range(0, stop, batch_size):
-            idx = order[lo:lo + batch_size]
+            idx = slice(lo, lo + batch_size) if order is None else order[lo:lo + batch_size]
             yield self.inputs[idx], self.labels[idx]
 
     def num_batches(self, batch_size, drop_last=True):

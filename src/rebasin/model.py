@@ -382,8 +382,10 @@ def _check_same_arch(a, b):
 # forward with taps, the cached training forward, backprop and the per-sample
 # Fisher pass all run through _walk and _backward.
 
-def _layer_fwd(spec, p, x, use_batch, update_stats, collect_norm_stats):
-    """One layer's forward: (output, the cache _backward needs)."""
+def _layer_fwd(spec, p, x, use_batch, update_stats, collect_norm_stats, inplace=False):
+    """One layer's forward: (output, the cache _backward needs). With
+    inplace, a relu, batchnorm or channel_affine may write its output into
+    x, and its cache is then no use to _backward."""
     kind, name = spec.kind, spec.name
     if kind == "dense":
         return ops.dense_fwd(x, p[f"{name}.w"], p.get(f"{name}.b")), x
@@ -392,7 +394,7 @@ def _layer_fwd(spec, p, x, use_batch, update_stats, collect_norm_stats):
                                  spec.stride, spec.pad)
         return y, (cols, x.shape)
     if kind == "relu":
-        y = ops.relu_fwd(x)
+        y = ops.relu_fwd(x, inplace=inplace)
         return y, y     # the next layer may hold y anyway; x can go
     if kind == "maxpool2d":
         y = ops.maxpool_fwd(x, spec.kernel, spec.stride)
@@ -404,7 +406,7 @@ def _layer_fwd(spec, p, x, use_batch, update_stats, collect_norm_stats):
             y, cache, bm, bv = ops.batchnorm_fwd(
                 x, p.get(f"{name}.gamma"), p.get(f"{name}.beta"),
                 p[f"{name}.running_mean"], p[f"{name}.running_var"], spec.eps,
-                use_batch)
+                use_batch, inplace=inplace)
         except ValueError as e:
             raise ValueError(f"{name}: {e}") from None
         if use_batch:
@@ -421,7 +423,8 @@ def _layer_fwd(spec, p, x, use_batch, update_stats, collect_norm_stats):
         return ops.layernorm_fwd(x, p.get(f"{name}.gamma"), p.get(f"{name}.beta"),
                                  spec.eps)
     if kind == "channel_affine":
-        return ops.channel_affine_fwd(x, p[f"{name}.scale"], p[f"{name}.shift"]), x
+        return ops.channel_affine_fwd(x, p[f"{name}.scale"], p[f"{name}.shift"],
+                                      inplace=inplace), x
     raise BuildError(f"unknown layer kind {kind!r}")
 
 
@@ -456,6 +459,12 @@ def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
     no cache outlives its layer, and every layer output is checked for
     non-finite values; training leaves that to its loss check, so divergence
     is reported with the iteration.
+
+    An eval pass also lets a relu, batchnorm or channel_affine layer write
+    its output into its input when the walk itself made that input, as the
+    output of an earlier layer (a flatten's output is its input's), and no
+    tap captured it. So a walk never writes into the caller's x, a feed's
+    activations, a tapped value or a parameter.
     """
     p = model.params
     tracked = update_stats and track and any(k.startswith("stats.") for k in p)
@@ -469,20 +478,23 @@ def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
 
     captured = {}
     cur = x
+    own = False     # cur is a buffer this eval walk made and nothing else holds
     layers = model.layers
     for idx in range(start, len(layers) if stop is None else stop):
         spec = layers[idx]
         use_batch = spec.batch_stats_in_eval if batch_stats is None else batch_stats
         cur, cache = _layer_fwd(spec, p, cur, use_batch, update_stats,
-                                collect_norm_stats)
+                                collect_norm_stats, inplace=own)
         if caches is None:
             del cache   # conv cols are large; an eval pass drops them at once
             _check_finite(spec.name, cur)
+            own = own or spec.kind != "flatten"
         else:
             caches.append((spec, cache))
         for bid, phase in at.get(idx, ()):
             if (bid, phase) in taps:
                 captured[(bid, phase)] = cur
+                own = False
             if phase == PRE and tracked and f"stats.{bid}.mean" in p:
                 _update_tracked(p, bid, cur)
     return cur, captured
@@ -585,6 +597,8 @@ def _backward(model, caches, dy, weight_hook=None, input_grad=True):
     With input_grad false the walk ends once the lowest layer holding
     gradients has them, so no gradient flows below it and "x" is absent;
     every tensor gradient is bitwise the full walk's.
+
+    dy is _backward's to overwrite: a relu masks the gradient in place.
     """
     p = model.params
     grads = {}

@@ -5,6 +5,19 @@ Ops never force a dtype: float32 pipelines stay float32, while float64
 inputs (used by gradient checks) propagate as float64. Moments is the
 streaming mean/variance accumulator of the statistics passes, and DEAD_STD
 the dead-unit rule that repair and matching share.
+
+Layout: given C-contiguous arrays, every op returns C-contiguous arrays;
+conv2d_fwd and col2im return them whatever their input's layout. So every
+activation and gradient of a network keeps one (N, C[, H, W]) layout, and
+elementwise ops and per-channel reductions run on matching contiguous
+operands.
+
+In place: an op writes into a buffer it allocated itself, and into an
+argument only where that is documented: relu_bwd writes into dy, and the
+forward ops taking inplace=True may overwrite x (the caller gives x up; the
+result may be x itself). A write into a buffer happens only where it keeps
+the dtype of the out-of-place expression (see _into), and performs the same
+IEEE operations in the same order, so values are bitwise the same.
 """
 import numpy as np
 
@@ -16,12 +29,22 @@ def chanview(v, ndim):
     return v[None, :, None, None]
 
 
+def _into(ufunc, a, b, out=None):
+    """ufunc(a, b) written into out (by default a), a buffer of the result's
+    shape that the caller may overwrite, when that keeps the out-of-place
+    result's dtype; otherwise (float32 out, float64 b, say) out of place."""
+    out = a if out is None else out
+    if np.result_type(a, b) == out.dtype:
+        return ufunc(a, b, out=out)
+    return ufunc(a, b)
+
+
 # ---------------------------------------------------------------- dense
 
 def dense_fwd(x, w, b):
     y = x @ w.T
     if b is not None:
-        y = y + b[None, :]
+        y = _into(np.add, y, b)
     return y
 
 
@@ -67,17 +90,32 @@ def im2col(x, k, stride, pad):
     return cols.reshape(n, ho * wo, c * k * k), (ho, wo)
 
 
+def _inside(off, pad, stride, n_out, size):
+    """The outputs i whose tap off lands inside the unpadded input, at
+    off - pad + stride * i: (slice of i, slice of input positions)."""
+    lo = max(0, -(-(pad - off) // stride))
+    hi = min(n_out, (size - 1 - off + pad) // stride + 1)
+    first = off - pad + stride * lo
+    return slice(lo, hi), slice(first, first + stride * (hi - lo - 1) + 1, stride)
+
+
 def col2im(dcols, x_shape, k, stride, pad, out_hw):
+    """Sum patch gradients back onto the (N, C, H, W) input, C-contiguous.
+
+    Each kernel offset adds, in row-major offset order, the gradients of the
+    patch entries that fall inside the input; entries on the zero padding
+    are dropped, as slicing them off a padded sum would drop them.
+    """
     n, c, h, w = x_shape
     ho, wo = out_hw
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
+    dx = np.zeros((n, c, h, w), dtype=dcols.dtype)
     d6 = dcols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 4, 5, 1, 2)  # (N,C,k,k,Ho,Wo)
     for ki in range(k):
+        src_i, dst_i = _inside(ki, pad, stride, ho, h)
         for kj in range(k):
-            dxp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += d6[:, :, ki, kj]
-    if pad:
-        return dxp[:, :, pad:-pad, pad:-pad]
-    return dxp
+            src_j, dst_j = _inside(kj, pad, stride, wo, w)
+            dx[:, :, dst_i, dst_j] += d6[:, :, ki, kj, src_i, src_j]
+    return dx
 
 
 def conv2d_fwd(x, w, b, stride, pad):
@@ -85,10 +123,10 @@ def conv2d_fwd(x, w, b, stride, pad):
     cout, cin, k, _ = w.shape
     cols, (ho, wo) = im2col(x, k, stride, pad)
     y = cols @ w.reshape(cout, -1).T             # (N, Ho*Wo, Cout)
+    y = np.ascontiguousarray(y.transpose(0, 2, 1))   # the one copy to (N, Cout, Ho*Wo)
     if b is not None:
-        y = y + b[None, None, :]
-    y = y.transpose(0, 2, 1).reshape(n, cout, ho, wo)
-    return y, cols
+        y = _into(np.add, y, b[:, None])
+    return y.reshape(n, cout, ho, wo), cols
 
 
 def _dy_rows(dy):
@@ -121,13 +159,14 @@ def conv2d_sq_grad(cols, w_shape, dy):
 
 # ---------------------------------------------------------------- relu / pool / flatten
 
-def relu_fwd(x):
-    return np.maximum(x, 0)
+def relu_fwd(x, inplace=False):
+    return _into(np.maximum, x, 0) if inplace else np.maximum(x, 0)
 
 
 def relu_bwd(y, dy):
-    """y may be relu's input or its output: both are > 0 at the same places."""
-    return dy * (y > 0)
+    """dy masked where y is not > 0, written into dy. y may be relu's input
+    or its output: both are > 0 at the same places."""
+    return _into(np.multiply, dy, y > 0)
 
 
 def _pool_windows(ho, wo, k, stride):
@@ -183,9 +222,10 @@ def _stat_axes(ndim, per_sample):
     return (0,) if ndim == 2 else (0, 2, 3)
 
 
-def batchnorm_fwd(x, gamma, beta, mean, var, eps, use_batch):
+def batchnorm_fwd(x, gamma, beta, mean, var, eps, use_batch, inplace=False):
     """Returns (y, cache, batch_mean, batch_var_unbiased); the last two are None
-    in running-stats mode."""
+    in running-stats mode. With inplace, y may be x itself and the cache is
+    None: an eval pass has no backward."""
     axes = _stat_axes(x.ndim, per_sample=False)
     if use_batch:
         n_eff = int(np.prod([x.shape[a] for a in axes]))
@@ -195,36 +235,49 @@ def batchnorm_fwd(x, gamma, beta, mean, var, eps, use_batch):
         mu = x.mean(axis=axes)
     else:
         mu = mean
-    xhat = x - chanview(mu, x.ndim)       # centred here, scaled below
+    mu_c = chanview(mu, x.ndim)
+    xhat = _into(np.subtract, x, mu_c) if inplace else x - mu_c    # centred here, scaled below
     if use_batch:
         v = (xhat * xhat).mean(axis=axes)    # bitwise x.var(axis=axes)
         var_unbiased = v * (n_eff / (n_eff - 1.0))
     else:
         v, var_unbiased = var, None
     inv = 1.0 / np.sqrt(v + eps)
-    xhat = xhat * chanview(inv, x.ndim)
+    xhat = _into(np.multiply, xhat, chanview(inv, x.ndim))
     y = xhat
     if gamma is not None:
-        y = xhat * chanview(gamma, x.ndim) + chanview(beta, x.ndim)
-    cache = (xhat, inv, gamma, axes, use_batch)
+        g = chanview(gamma, x.ndim)
+        y = _into(np.multiply, xhat, g) if inplace else xhat * g
+        y = _into(np.add, y, chanview(beta, x.ndim))
+    cache = None if inplace else (xhat, inv, gamma, axes, use_batch)
     bm = mu if use_batch else None
     return y, cache, bm, var_unbiased
 
 
 def batchnorm_bwd(cache, dy):
+    """(dx, dgamma, dbeta), with g = dy * gamma (dy without an affine):
+    dx = inv * ((g - mean(g)) - xhat * mean(g * xhat)) on batch statistics,
+    g * inv on running ones. dx is built in g's buffer, the products in one
+    scratch buffer."""
     xhat, inv, gamma, axes, use_batch = cache
-    dgamma = (dy * xhat).sum(axis=axes) if gamma is not None else None
-    dbeta = dy.sum(axis=axes) if gamma is not None else None
-    g = dy if gamma is None else dy * chanview(gamma, dy.ndim)
-    if use_batch:
-        # a Python int: a NumPy int64 would promote float32 dy to float64
-        m = int(np.prod([dy.shape[a] for a in axes]))
-        dx = chanview(inv, dy.ndim) * (
-            g - chanview(g.sum(axis=axes) / m, dy.ndim)
-            - xhat * chanview((g * xhat).sum(axis=axes) / m, dy.ndim))
-    else:
-        dx = g * chanview(inv, dy.ndim)
-    return dx, dgamma, dbeta
+    ndim = dy.ndim
+    inv = chanview(inv, ndim)
+    dgamma = dbeta = None
+    g = dy      # without an affine g is dy, which is not this op's to overwrite
+    if gamma is not None:
+        tmp = dy * xhat
+        dgamma, dbeta = tmp.sum(axis=axes), dy.sum(axis=axes)
+        g = dy * chanview(gamma, ndim)
+    if not use_batch:
+        return (g * inv if g is dy else _into(np.multiply, g, inv)), dgamma, dbeta
+    # a Python int: a NumPy int64 would promote float32 dy to float64
+    m = int(np.prod([dy.shape[a] for a in axes]))
+    tmp = g * xhat if g is dy else _into(np.multiply, g, xhat, out=tmp)
+    gx_mean = chanview(tmp.sum(axis=axes) / m, ndim)
+    g_mean = chanview(g.sum(axis=axes) / m, ndim)
+    dx = g - g_mean if g is dy else _into(np.subtract, g, g_mean)
+    dx = _into(np.subtract, dx, _into(np.multiply, xhat, gx_mean, out=tmp))
+    return _into(np.multiply, dx, inv), dgamma, dbeta
 
 
 def layernorm_fwd(x, gamma, beta, eps):
@@ -254,8 +307,10 @@ def layernorm_bwd(cache, dy):
     return dx, dgamma, dbeta
 
 
-def channel_affine_fwd(x, scale, shift):
-    return x * chanview(scale, x.ndim) + chanview(shift, x.ndim)
+def channel_affine_fwd(x, scale, shift, inplace=False):
+    s = chanview(scale, x.ndim)
+    y = _into(np.multiply, x, s) if inplace else x * s
+    return _into(np.add, y, chanview(shift, x.ndim))
 
 
 def channel_affine_bwd(x, scale, dy):

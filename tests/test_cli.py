@@ -234,6 +234,35 @@ def test_failed_prune_csv_write_leaves_no_file(tmp_path, ckpts, monkeypatch):
     assert sorted(os.listdir(out / "prune-000")) == ["config.json"]
 
 
+@pytest.mark.parametrize("command", ["train", "match", "interp", "renorm", "merge",
+                                     "prune", "probe", "lap"])
+def test_every_command_records_its_environment(tmp_path, ckpts, monkeypatch, command):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    doc = {"train": {"dataset": BLOBS, "model": MODEL, "train": {**TRAIN, "epochs": 1}},
+           "match": {"checkpoints": ckpts[:2]},
+           "interp": {"checkpoints": ckpts[:2], "dataset": BLOBS, "grid": "quick"},
+           "renorm": {"checkpoints": ckpts[:2], "dataset": BLOBS, "grid": "quick"},
+           "merge": {"checkpoints": ckpts},
+           "prune": {"checkpoint": ckpts[0], "dataset": BLOBS, "sparsities": [0.5]},
+           "probe": {"checkpoint": ckpts[0], "dataset": BLOBS, "with_fisher": False},
+           "lap": {"matrix": [[1.0, 2.0], [3.0, 1.0]]}}[command]
+    out = tmp_path / "runs"
+    assert main([command, "--config", write_cfg(tmp_path, **doc), "--out", str(out)]) == 0
+    run = out / f"{command}-000"
+    env = json.loads((run / "env.json").read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env == {"numpy": np.__version__,
+                   "blas": {"name": blas.get("name"), "version": blas.get("version")},
+                   "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                               "MKL_NUM_THREADS": None},
+                   "cpu_count": os.cpu_count()}
+    # the snapshot stays the config alone, so it still re-runs
+    assert json.loads((run / "config.json").read_text()) == doc
+    assert main([command, "--config", str(run / "config.json"), "--out", str(out)]) == 0
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -332,6 +361,33 @@ def test_divergence_exits_3(tmp_path):
                     train={**TRAIN, "base_lr": 1e8})
     with np.errstate(all="ignore"):
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+
+
+@pytest.fixture(scope="module")
+def nan_cnn(tmp_path_factory):
+    """A BatchNorm convnet checkpoint with one NaN in conv1.w, a clean one of
+    the same net, and the image dataset doc both read."""
+    root = tmp_path_factory.mktemp("nan_cnn")
+    paths = []
+    for seed in (1, 2):
+        m = init_params(build_model(small_cnn_desc(in_shape=(1, 8, 8), classes=4)),
+                        "kaiming_uniform", seed)
+        if seed == 1:
+            m.params["conv1.w"][0, 0, 0, 0] = np.nan
+        paths.append(str(root / f"cnn{seed}.rbnc"))
+        save_checkpoint(m, paths[-1])
+    ds = {**BLOBS, "n": 128, "dims": 64, "image_shape": [1, 8, 8]}
+    return paths, ds
+
+
+@pytest.mark.parametrize("command", ["interp", "probe"])
+def test_nan_weight_in_conv1_exits_3_naming_the_layer(tmp_path, capsys, nan_cnn, command):
+    (bad, good), ds = nan_cnn
+    doc = {"checkpoints": [bad, good], "grid": "quick"} if command == "interp" else \
+        {"checkpoint": bad, "batch_size": 64}
+    cfg = write_cfg(tmp_path, dataset=ds, **doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+    assert "non-finite values in layer conv1" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(tmp_path):

@@ -177,6 +177,24 @@ def test_batches_unshuffled_order():
     np.testing.assert_array_equal(got, ds.labels)
 
 
+def test_unshuffled_batches_are_views_and_shuffled_ones_unchanged():
+    ds = synth_blobs(seed=18, n=50, dims=4, classes=2, spread=1.0)
+    for drop_last in (True, False):
+        batches = list(ds.batches(16, shuffle=False, drop_last=drop_last))
+        assert len(batches) == (3 if drop_last else 4)
+        for k, (xb, yb) in enumerate(batches):
+            assert np.shares_memory(xb, ds.inputs) and np.shares_memory(yb, ds.labels)
+            np.testing.assert_array_equal(xb, ds.inputs[16 * k:16 * k + 16])
+            np.testing.assert_array_equal(yb, ds.labels[16 * k:16 * k + 16])
+    # shuffled batches are copies, drawn as a fancy-indexed permutation
+    order = np.random.default_rng([3, 1]).permutation(ds.n)
+    for k, (xb, yb) in enumerate(ds.batches(16, seed=3, epoch=1, drop_last=False)):
+        idx = order[16 * k:16 * k + 16]
+        assert not np.shares_memory(xb, ds.inputs)
+        assert xb.tobytes() == ds.inputs[idx].tobytes()
+        assert yb.tobytes() == ds.labels[idx].tobytes()
+
+
 def test_embedded_deterministic_and_standardized():
     a = synth_embedded(seed=18, n=200, dims=64, d_eff=6, classes=5, spread=0.4)
     b = synth_embedded(seed=18, n=200, dims=64, d_eff=6, classes=5, spread=0.4)
