@@ -174,7 +174,14 @@ def _load_models(paths, want=None):
 
 
 def _grid(cfg):
-    if cfg.get("grid") == "quick":
+    """A curve config's grid as (points, quick): "grid": "quick" asks for
+    {0, 0.5, 1}, grid_points for that many uniform points (11 by default)."""
+    if "grid" in cfg:
+        if cfg["grid"] != "quick":
+            raise ValueError(f"grid must be 'quick', got {cfg['grid']!r}; "
+                             "use grid_points for a uniform grid")
+        if "grid_points" in cfg:
+            raise ValueError("grid 'quick' and grid_points conflict")
         return None, True
     points = _count("grid_points", cfg.get("grid_points", 11), low=2)
     return [i / (points - 1) for i in range(points)], False
@@ -290,13 +297,16 @@ def _cmd_prune(cfg, run):
     if repair_mode is not None and repair_mode not in ("reset", "repair"):
         raise ValueError(f"unknown repair mode {repair_mode!r}")
     batch_size = _count("batch_size", cfg.get("batch_size", 256))
+    sparsities = cfg.get("sparsities", [0.0, 0.25, 0.5, 0.75, 0.9])
+    if any(isinstance(s, bool) or not isinstance(s, (int, float)) for s in sparsities):
+        raise ValueError(f"sparsities must be numbers, got {sparsities!r}")
     smap = score(model, method=method,
                  dataset=ds if method == "diag_fisher" else None,
                  scale_by_weight_sq=_flag("scale_by_weight_sq",
                                           cfg.get("scale_by_weight_sq", True)),
                  exempt_first=_flag("exempt_first", cfg.get("exempt_first", False)))
     rows = []
-    for s in cfg.get("sparsities", [0.0, 0.25, 0.5, 0.75, 0.9]):
+    for s in sparsities:
         mask = mask_from_scores(smap, float(s),
                                 granularity=cfg.get("granularity", "global"))
         pruned = apply_mask(model, mask)
@@ -319,9 +329,11 @@ def _cmd_probe(cfg, run):
                       "with_fisher"},
                 {"checkpoint", "dataset"}, "probe config")
     model = load_checkpoint(cfg["checkpoint"])
+    max_batches = cfg.get("max_batches")
     probe = channel_probe(model, _dataset(cfg["dataset"]),
                           batch_size=_count("batch_size", cfg.get("batch_size", 256)),
-                          max_batches=cfg.get("max_batches"),
+                          max_batches=None if max_batches is None else
+                          _count("max_batches", max_batches),
                           with_fisher=_flag("with_fisher", cfg.get("with_fisher", True)))
     probe.write_csv(os.path.join(run, "probe.csv"))
     _write_json(os.path.join(run, "probe.json"), probe.to_jsonable())

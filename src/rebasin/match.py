@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lap import _warm_start, solve_lap
-from .model import POST, PRE, _check_same_arch, forward, layer_tensors, stat_key, wiring
+from .model import (POST, PRE, _check_same_arch, _inputs, forward, layer_tensors, stat_key,
+                    wiring)
 from .ops import DEAD_STD, Moments
 from .probes import l2_distance
 
@@ -273,7 +274,7 @@ def streaming_activation_stats(model_a, model_b, dataset, batch_size=256,
     bids = [bid for bid, _ in model_a.boundary_map]
     taps = [(bid, phase) for bid in bids]
     acc = {bid: (Moments(), Moments(), Moments()) for bid in bids}  # a, b, a x b
-    for xb, _ in dataset.batches(batch_size, shuffle=False, drop_last=True):
+    for _, xb, _ in _inputs(dataset, batch_size, drop_last=True):
         _, ta = forward(model_a, xb, taps=taps)
         _, tb = forward(model_b, xb, taps=taps)
         for tap_a, tap_b in zip(ta, tb):

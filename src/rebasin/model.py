@@ -7,6 +7,7 @@ in boundary_map; normalization/affine layers attach to the boundary of the
 weight layer they directly follow.
 """
 import copy as _copy
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -506,15 +507,24 @@ def _check_finite(layer_name, value):
         raise NonFiniteError(layer_name)
 
 
-def _fed(feed, k, x):
-    """Batch k of a pass, whose input batch is x, as (start layer, walk
-    input). Without a feed that is layer 0 and x. A feed (start, act)
-    stands act(k), the output of layer start - 1 for that batch, in for the
-    layers before start."""
-    if feed is None:
-        return 0, x
-    start, act = feed
-    return start, act(k)
+def _inputs(dataset, batch_size, drop_last, max_batches=None, feed=None):
+    """One unshuffled pass over dataset: (start layer, walk input, labels)
+    for each of its first max_batches batches (all by default), in dataset
+    order. drop_last drops a final short batch. Every evaluation and
+    statistics pass reads its batches here.
+
+    Without a feed, each walk starts at layer 0 from the input batch. A feed
+    (start, act) stands act(k, x), the output of layer start - 1 for batch k
+    whose input batch is x, in for the layers before start. A pass that
+    reads no batch raises ValueError.
+    """
+    start, act = (0, None) if feed is None else feed
+    k = -1
+    for k, (xb, yb) in enumerate(itertools.islice(
+            dataset.batches(batch_size, shuffle=False, drop_last=drop_last), max_batches)):
+        yield start, xb if act is None else act(k, xb), yb
+    if k < 0:
+        raise ValueError("dataset smaller than one batch")
 
 
 def _check_batch(model, x):
@@ -536,7 +546,7 @@ def forward(model, x, taps=None, mode="eval", update_stats=None,
     is true, update running statistics and any tracked boundary statistics).
     With _start, x is the output of layer _start - 1, not an input batch:
     only the layers from _start on run, and a tap at layer _start - 1
-    captures x (see _fed).
+    captures x (see _inputs).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")

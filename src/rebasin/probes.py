@@ -5,16 +5,15 @@ retrain_probe clocks how many mini-batches a model needs to hit a train
 accuracy target. Every probe leaves its model untouched.
 """
 import csv
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checkpoint import _atomic_write
-from .model import POST, PRE, forward, stat_key, wiring
-from .ops import Moments
+from .model import POST, PRE, _backward, _forward_cached, _inputs, forward, stat_key, wiring
+from .ops import Moments, softmax_cross_entropy
 from .prune import _diag_fisher, prunable_keys
-from .train import evaluate, loss_and_grads
+from .train import _sgd_update, evaluate
 
 PROBE_COLUMNS = ("pre_scale", "pre_std", "post_scale", "post_std",
                  "zero_frac", "weight_scale")
@@ -78,8 +77,8 @@ def channel_probe(model, dataset, batch_size=256, max_batches=None,
     moments = {tap: Moments() for tap in taps}
     zeros = {bid: 0 for bid in wir}
     batch_count = 0
-    for xb, _ in itertools.islice(
-            dataset.batches(batch_size, shuffle=False, drop_last=True), max_batches):
+    for _, xb, _ in _inputs(dataset, batch_size, drop_last=True,
+                            max_batches=max_batches):
         _, tap_list = forward(model, xb, taps=taps, mode="eval")
         for tap in tap_list:
             v = tap.value.astype(np.float64).reshape(-1)  # one pooled column
@@ -89,8 +88,6 @@ def channel_probe(model, dataset, batch_size=256, max_batches=None,
             if tap.phase == POST:
                 zeros[tap.boundary_id] += int((v == 0).sum())
         batch_count += 1
-    if batch_count == 0:
-        raise ValueError("dataset smaller than one batch")
 
     rows = {}
     for bid, bnd in wir.items():
@@ -133,16 +130,14 @@ def retrain_probe(model, dataset, target_train_acc=0.9, lr=0.01, cap_epochs=5,
     curve = [(0, acc)]
     if acc >= target_train_acc:
         return RetrainReport(steps=0, curve=curve, capped=False)
-    vel = {}
+    vel = {k: np.zeros_like(v) for k, v in cur.params.items() if not stat_key(k)}
     it = 0
     for epoch in range(cap_epochs):
         for xb, yb in dataset.batches(batch_size, seed=seed, epoch=epoch):
-            _, grads = loss_and_grads(cur, xb, yb, update_stats=True)
-            for k, g in grads.items():
-                if k == "x" or stat_key(k):
-                    continue
-                vel[k] = (momentum * vel.get(k, 0.0) + g).astype(np.float32)
-                cur.params[k] = (cur.params[k] - lr * vel[k]).astype(np.float32)
+            logits, caches = _forward_cached(cur, xb)
+            _, dlogits = softmax_cross_entropy(logits, yb)
+            _sgd_update(cur.params, vel, _backward(cur, caches, dlogits, input_grad=False),
+                        lr, momentum, weight_decay=0.0)
             it += 1
             _, acc = evaluate(cur, dataset, batch_size=max(batch_size, 256))
             curve.append((it, acc))

@@ -6,13 +6,12 @@ them, globally or per tensor) and survivors keep their bits. Biases and norm
 parameters are never pruned.
 """
 import base64
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import WEIGHT_KINDS, _backward, _check_same_arch, _forward_cached
+from .model import WEIGHT_KINDS, _backward, _check_same_arch, _forward_cached, _inputs
 from .renorm import measure_stats, repair, reset_bn
 
 METHODS = ("magnitude", "diag_fisher")
@@ -94,8 +93,8 @@ def _diag_fisher(model, keys, dataset, batch_size, max_batches):
             acc[key] += sq
 
     seen = 0
-    for xb, yb in itertools.islice(
-            dataset.batches(batch_size, shuffle=False, drop_last=False), max_batches):
+    for _, xb, yb in _inputs(dataset, batch_size, drop_last=False,
+                             max_batches=max_batches):
         # batchnorm on running statistics keeps the samples independent
         logits, caches = _forward_cached(model, xb, update_stats=False,
                                          bn_batch_stats=False)
@@ -108,8 +107,6 @@ def _diag_fisher(model, keys, dataset, batch_size, max_batches):
         _backward(model, caches, prob.astype(logits.dtype), weight_hook=add_sq_grads,
                   input_grad=False)
         seen += len(yb)
-    if seen == 0:
-        raise ValueError("dataset smaller than one batch")
     return {k: v / seen for k, v in acc.items()}
 
 

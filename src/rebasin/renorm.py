@@ -8,7 +8,6 @@ are stored as float32 model parameters.
 """
 import csv
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,9 +15,9 @@ import numpy as np
 
 from .checkpoint import _atomic_write
 from .model import (PRE, WEIGHT_KINDS, LayerSpec, _check_batch, _check_finite,
-                    _check_same_arch, _fed, _layer_fwd, _walk, forward, wiring)
+                    _check_same_arch, _inputs, _layer_fwd, _walk, forward, wiring)
 from .ops import DEAD_STD, Moments
-from .train import _eval_batches, evaluate
+from .train import evaluate
 
 REPAIR_MODES = ("repair", "rescale", "rescale_avg", "reshift")
 RENORM_MODES = ("none", "reset") + REPAIR_MODES
@@ -132,12 +131,6 @@ def _channel_rows(v):
     return v
 
 
-def _stat_batches(dataset, batch_size, max_batches):
-    """The input batches every statistics pass reads, in order."""
-    return (xb for xb, _ in itertools.islice(
-        dataset.batches(batch_size, shuffle=False, drop_last=True), max_batches))
-
-
 def measure_stats(model, dataset, batch_size=256, boundaries=None, phase=PRE,
                   max_batches=None, _feed=None):
     """Per-channel mean and std of boundary activations over the dataset.
@@ -146,21 +139,19 @@ def measure_stats(model, dataset, batch_size=256, boundaries=None, phase=PRE,
     dropped); conv maps count every spatial position as a sample. Batches
     merge through a float64 Moments accumulator, so the result matches a
     two-pass computation over the same batches to rounding. _feed stands
-    activations in for the batches' first layers (see model._fed).
+    activations in for the batches' first layers (see model._inputs).
     """
     bids = list(boundaries) if boundaries is not None else \
         [bid for bid, _ in model.boundary_map]
     taps = [(bid, phase) for bid in bids]
     moments = {bid: Moments() for bid in bids}
     nb = 0
-    for k, xb in enumerate(_stat_batches(dataset, batch_size, max_batches)):
-        start, x = _fed(_feed, k, xb)
+    for start, x, _ in _inputs(dataset, batch_size, drop_last=True,
+                               max_batches=max_batches, feed=_feed):
         _, tap_vals = forward(model, x, taps=taps, _start=start)
         for tap in tap_vals:
             moments[tap.boundary_id].add(_channel_rows(tap.value))
         nb += 1
-    if nb == 0:
-        raise ValueError("dataset smaller than one batch")
     return ChannelStats(means={bid: moments[bid].mean for bid in bids},
                         stds={bid: moments[bid].std for bid in bids},
                         batch_count=nb, phase=phase)
@@ -210,7 +201,7 @@ def reset_bn(model, dataset, batch_size=256, max_batches=None, _feed=None):
     the equal-weight average of per-batch means and per-batch unbiased
     variances.  No-op (with a warning) when the model has no batchnorm.
     _feed stands activations in for the batches' first layers (see
-    model._fed).
+    model._inputs).
     """
     out = model.copy()
     bn_names = [s.name for s in out.layers if s.kind == "batchnorm"]
@@ -221,14 +212,10 @@ def reset_bn(model, dataset, batch_size=256, max_batches=None, _feed=None):
         out.params[f"{name}.running_mean"][:] = 0.0
         out.params[f"{name}.running_var"][:] = 1.0
     sink = {}
-    nb = 0
-    for k, xb in enumerate(_stat_batches(dataset, batch_size, max_batches)):
-        start, x = _fed(_feed, k, xb)
+    for start, x, _ in _inputs(dataset, batch_size, drop_last=True,
+                               max_batches=max_batches, feed=_feed):
         forward(out, x, mode="train", update_stats=False, collect_norm_stats=sink,
                 _start=start)
-        nb += 1
-    if nb == 0:
-        raise ValueError("dataset smaller than one batch")
     for name in bn_names:
         pairs = sink[name]
         mean = np.mean([m for m, _ in pairs], axis=0)
@@ -305,7 +292,7 @@ def repair(model, goals, dataset, mode="repair", sequential=False,
     boundary's activations over max_batches batches at a time.  Its last
     walk, to the logits, checks every layer of the result for non-finite
     values. _feed stands activations in for the batches' first layers (see
-    model._fed).
+    model._inputs).
     """
     if mode not in REPAIR_MODES:
         raise ValueError(f"unknown repair mode {mode!r}")
@@ -325,12 +312,9 @@ def repair(model, goals, dataset, mode="repair", sequential=False,
         if sequential:
             stop = wiring(out)[bid].pre_tap + 1
             if acts is None:     # stream the inputs, keep bid's activations
-                acts = []
-                for k, xb in enumerate(_stat_batches(dataset, batch_size, max_batches)):
-                    fed, x = _fed(_feed, k, xb)
-                    acts.append(_eval_walk(out, x, fed, stop))
-                if not acts:
-                    raise ValueError("dataset smaller than one batch")
+                batches = _inputs(dataset, batch_size, drop_last=True,
+                                  max_batches=max_batches, feed=_feed)
+                acts = [_eval_walk(out, x, fed, stop) for fed, x, _ in batches]
             else:        # resume at the last correction, in place
                 for k, v in enumerate(acts):
                     acts[k] = _eval_walk(out, v, start, stop)
@@ -400,33 +384,34 @@ class _SharedPrefix:
     so each grid point mixes the endpoints' outputs instead of running it.
     When the first weight layer is a conv, start is 0 and nothing is shared.
 
-    passes maps a pass's name to a function yielding its input batches, as
-    the function the pass feeds reads them.
+    A pass reads its batches through model._inputs, which hands the feed
+    each batch it reads; both endpoints' outputs of a batch are computed
+    the first time a pass of that name reads it, and kept for the others.
     """
 
-    def __init__(self, model_a, model_b, passes):
+    def __init__(self, model_a, model_b):
         first = next(i for i, s in enumerate(model_a.layers) if s.kind in WEIGHT_KINDS)
         self.spec = model_a.layers[first]
         self.start = first + 1 if self.spec.kind == "dense" else 0
         self.models = (model_a, model_b)
-        self.passes = passes
         self._ends = {}     # pass -> [(a's output, b's output) per batch]
 
     def feed(self, name, lam):
-        """The feed (see model._fed) of pass name's batches at lam; None when
-        the prefix is empty."""
+        """The feed (see model._inputs) of pass name's batches at lam; None
+        when the prefix is empty."""
         if not self.start:
             return None
-        return self.start, functools.partial(self._output, name, lam)
+        return self.start, functools.partial(self._output,
+                                             self._ends.setdefault(name, []), lam)
 
-    def _output(self, name, lam, k):
-        """Batch k's prefix output at lam: an endpoint's own at 0 and 1, else
-        the two mixed as interpolate mixes tensors, checked as an eval walk
-        checks the prefix's last layer. A pass's endpoint outputs are
-        computed when it first reads one."""
-        if name not in self._ends:
-            self._ends[name] = [self._endpoint_outputs(x) for x in self.passes[name]()]
-        ha, hb = self._ends[name][k]
+    def _output(self, ends, lam, k, x):
+        """Batch k's prefix output at lam, whose input batch is x: an
+        endpoint's own at 0 and 1, else the two mixed as interpolate mixes
+        tensors, checked as an eval walk checks the prefix's last layer.
+        ends holds the pass's endpoint outputs of the batches read so far."""
+        if k == len(ends):
+            ends.append(self._endpoint_outputs(x))
+        ha, hb = ends[k]
         h = ha if lam == 0.0 else hb if lam == 1.0 else _lerp(ha, hb, lam)
         _check_finite(self.spec.name, h)
         return h
@@ -448,13 +433,14 @@ def eval_curve(model_a, model_b, train_ds, test_ds=None, grid=None, quick=False,
     worst gap to the linear baseline between the endpoints (for accuracy, the
     worst shortfall).
 
-    Grid points share the endpoints' first-dense-layer outputs: each pass
-    computes both endpoints' outputs of the layers up to the first dense one
-    once per batch, and each point walks on from their lam-mix. Interior
-    points therefore match evaluate(interpolate(a, b, lam)) (and its reset
-    or repaired model) to float32 rounding, while the endpoints stay bitwise
-    equal to it. A model whose first weight layer is a conv takes the
-    unshared path.
+    Grid points share the endpoints' first-dense-layer outputs: every pass
+    reads its batches through model._inputs, both endpoints' outputs of the
+    layers up to the first dense one are computed once per batch of each
+    pass, from the batch the pass reads, and each point walks on from their
+    lam-mix (see _SharedPrefix). Interior points therefore match
+    evaluate(interpolate(a, b, lam)) (and its reset or repaired model) to
+    float32 rounding, while the endpoints stay bitwise equal to it. A model
+    whose first weight layer is a conv takes the unshared path.
     """
     if mode not in RENORM_MODES:
         raise ValueError(f"mode must be one of {RENORM_MODES}")
@@ -469,11 +455,7 @@ def eval_curve(model_a, model_b, train_ds, test_ds=None, grid=None, quick=False,
         raise ValueError("grid must include both endpoints 0 and 1")
     _check_same_arch(model_a, model_b)
 
-    prefix = _SharedPrefix(model_a, model_b, {
-        "train": lambda: (x for x, _ in _eval_batches(train_ds, batch_size)),
-        "test": lambda: (x for x, _ in _eval_batches(test_ds, batch_size)),
-        "stats": lambda: _stat_batches(train_ds, stats_batch_size, None),
-    })
+    prefix = _SharedPrefix(model_a, model_b)
     goals_end = None
     if mode in REPAIR_MODES:
         goals_end = tuple(measure_stats(m, train_ds, batch_size=stats_batch_size,

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import ops
 from .checkpoint import _atomic_write
-from .model import WEIGHT_KINDS, _backward, _fed, _forward_cached, forward, stat_key
+from .model import WEIGHT_KINDS, _backward, _forward_cached, _inputs, forward, stat_key
 
 _SCHEDULES = ("constant", "step", "cosine")
 _INIT_SCHEMES = ("kaiming_uniform", "kaiming_normal")
@@ -156,19 +156,13 @@ def loss_and_grads(model, x, y, update_stats=False):
 
 # ---------------------------------------------------------------- evaluation
 
-def _eval_batches(dataset, batch_size):
-    """The (inputs, labels) batches evaluate reads, in order."""
-    return dataset.batches(batch_size, shuffle=False, drop_last=False)
-
-
 def evaluate(model, dataset, batch_size=512, _feed=None):
     """Eval-mode mean loss and accuracy over the whole dataset.
 
     _feed stands activations in for the batches' first layers (see
-    model._fed)."""
+    model._inputs)."""
     losses, hits, total = 0.0, 0, 0
-    for k, (xb, yb) in enumerate(_eval_batches(dataset, batch_size)):
-        start, x = _fed(_feed, k, xb)
+    for start, x, yb in _inputs(dataset, batch_size, drop_last=False, feed=_feed):
         logits = forward(model, x, mode="eval", _start=start)
         loss, _ = ops.softmax_cross_entropy(logits, yb)
         n = len(yb)

@@ -498,6 +498,14 @@ def test_interp_grid_points_flag(tmp_path, ckpts):
     assert report["mode"] == "none"
 
 
+@pytest.mark.parametrize("grid", [{"grid": [0, 0.3, 1]}, {"grid": "quick", "grid_points": 5}],
+                         ids=["list", "quick_and_points"])
+def test_interp_rejects_a_grid_it_would_not_run(tmp_path, ckpts, capsys, grid):
+    cfg = write_cfg(tmp_path, checkpoints=ckpts[:2], dataset=BLOBS, **grid)
+    assert main(["interp", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
 def test_interp_default_grid_is_eleven_points(tmp_path, ckpts):
     cfg = write_cfg(tmp_path, checkpoints=ckpts[:2], dataset=BLOBS)
     out = tmp_path / "runs"
@@ -625,6 +633,22 @@ def test_prune_repair_adds_column(tmp_path):
     assert len(lines[1].split(",")) == 3
 
 
+@pytest.mark.parametrize("sparsities", [["0.5"], [0.5, True]], ids=["string", "bool"])
+def test_prune_rejects_a_sparsity_that_is_no_number(tmp_path, ckpts, capsys, sparsities):
+    cfg = write_cfg(tmp_path, checkpoint=ckpts[0], dataset=BLOBS, sparsities=sparsities)
+    assert main(["prune", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert "sparsities" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["interp", "prune"])
+def test_a_dataset_of_no_rows_exits_2(tmp_path, ckpts, capsys, command):
+    doc = {"checkpoints": ckpts[:2], "grid": "quick"} if command == "interp" else \
+        {"checkpoint": ckpts[0], "sparsities": [0.5]}
+    cfg = write_cfg(tmp_path, dataset={**BLOBS, "n": 0, "standardize": False}, **doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert "dataset smaller than one batch" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- probe / lap
 
 def test_probe_outputs_csv_and_json(tmp_path, ckpts):
@@ -640,7 +664,7 @@ def test_probe_outputs_csv_and_json(tmp_path, ckpts):
     assert doc["fisher"]["dense0.w"] >= 0
 
 
-@pytest.mark.parametrize("max_batches", [1.5, -1])
+@pytest.mark.parametrize("max_batches", [1.5, -1, True])
 def test_probe_rejects_a_batch_cap_that_is_no_count(tmp_path, ckpts, max_batches):
     cfg = write_cfg(tmp_path, checkpoint=ckpts[0], dataset=BLOBS,
                     max_batches=max_batches)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rebasin import ops, renorm
-from rebasin.data import synth_blobs
+from rebasin.data import Dataset, synth_blobs
 from rebasin.model import (POST, PRE, LayerSpec, NonFiniteError, build_model, forward,
                            mlp_descriptor)
 from rebasin.renorm import (
@@ -28,6 +28,8 @@ from rebasin.renorm import (
     reset_bn,
     tracked_stats,
 )
+from rebasin.probes import channel_probe
+from rebasin.prune import score
 from rebasin.train import TrainConfig, evaluate, init_params, train
 from helpers import large_mean, models_bit_equal, rand_batch, seed_params, small_cnn_desc
 
@@ -495,6 +497,34 @@ def test_repair_on_less_than_one_batch_raises(sequential):
         repair(a, goals, blobs(seed=14, n=32), sequential=sequential, batch_size=64)
 
 
+def _repair_from_own_goals(m, ds, sequential):
+    goals = measure_stats(m, blobs(seed=14), batch_size=64)
+    return repair(m, goals, ds, sequential=sequential, batch_size=64)
+
+
+# passes that keep a short last batch read none only from 0 rows
+_EMPTY_PASSES = {
+    "evaluate": (0, lambda m, ds: evaluate(m, ds, batch_size=64)),
+    "diag_fisher": (0, lambda m, ds: score(m, method="diag_fisher", dataset=ds,
+                                           batch_size=64)),
+    "measure_stats": (32, lambda m, ds: measure_stats(m, ds, batch_size=64)),
+    "reset_bn": (32, lambda m, ds: reset_bn(m, ds, batch_size=64)),
+    "repair": (32, lambda m, ds: _repair_from_own_goals(m, ds, False)),
+    "sequential_repair": (32, lambda m, ds: _repair_from_own_goals(m, ds, True)),
+    "channel_probe": (32, lambda m, ds: channel_probe(m, ds, batch_size=64)),
+}
+
+
+@pytest.mark.parametrize("name", list(_EMPTY_PASSES))
+def test_every_unshuffled_pass_that_reads_no_batch_raises(name):
+    rows, run = _EMPTY_PASSES[name]
+    m = seed_params(build_model(mlp_descriptor(8, [10, 8], 4, norm="batchnorm")), 0)
+    full = blobs(seed=14, n=32)
+    ds = Dataset(full.inputs[:rows], full.labels[:rows], full.num_classes)
+    with pytest.raises(ValueError, match="dataset smaller than one batch"):
+        run(m, ds)
+
+
 # ---------------------------------------------------------------- shared first-layer outputs
 
 def _prefix_pair(norm):
@@ -566,6 +596,25 @@ def test_curve_runs_the_first_dense_layer_once_per_batch_and_endpoint(monkeypatc
     assert shapes.count(a.params["dense1.w"].shape) > 11 * (4 + 2)
 
 
+def test_shared_prefix_computes_each_batch_a_pass_reads_once(monkeypatch):
+    a, b, ds, te = _prefix_pair(None)
+    fed = []
+    make = _SharedPrefix._endpoint_outputs
+
+    def counted(self, x):
+        fed.append(x.copy())
+        return make(self, x)
+    monkeypatch.setattr(_SharedPrefix, "_endpoint_outputs", counted)
+    eval_curve(a, b, ds, test_ds=te, grid=[0.0, 0.3, 0.5, 1.0], mode="repair",
+               batch_size=128, stats_batch_size=64)
+    # the statistics pass runs first (the endpoints' goals), then train, then test
+    want = [xb for xb, _ in ds.batches(64, shuffle=False, drop_last=True)]
+    want += [xb for d in (ds, te) for xb, _ in d.batches(128, shuffle=False,
+                                                         drop_last=False)]
+    assert len(fed) == len(want) == 8 + 4 + 2
+    assert all(np.array_equal(got, x) for got, x in zip(fed, want))
+
+
 @pytest.mark.parametrize("mode, sequential", [("reset", False), ("repair", False),
                                               ("repair", True)])
 def test_convnet_curve_is_bitwise_the_per_point_models(mode, sequential):
@@ -604,9 +653,9 @@ def test_linspace_grid_reports_as_its_python_floats(tmp_path):
     assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
     assert reps[0].summary() == reps[1].summary()
     # a NumPy lam mixes in float64 and still feeds float32 activations
-    prefix = _SharedPrefix(a, b, {"train": lambda: (x for x, _ in ds.batches(
-        128, shuffle=False, drop_last=False))})
-    assert prefix.feed("train", np.float64(0.3))[1](0).dtype == np.float32
+    prefix = _SharedPrefix(a, b)
+    xb, _ = next(ds.batches(128, shuffle=False, drop_last=False))
+    assert prefix.feed("train", np.float64(0.3))[1](0, xb).dtype == np.float32
 
 
 # ---------------------------------------------------------------- data-independent
