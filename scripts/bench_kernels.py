@@ -7,7 +7,9 @@ training step on random inputs and labels, layer by layer through the model's
 own layer table, and times each layer: `fwd` is its forward with batch
 statistics (and its backward cache), `bwd` its backward from the gradient the
 layer above passed down, and `fisher` the backward of the diagonal-Fisher
-pass, which sums squared per-sample weight gradients (weight layers only).
+pass, which sums squared per-sample weight gradients. `dx` and `dw` split a
+weight layer's `bwd` into its input-gradient kernel and its weight-and-bias
+gradient kernel (`fisher`, `dx` and `dw`: weight layers only).
 A second table times `repair` of the same net to its own statistics on 4
 random batches of each size: `sequential` (one corrected boundary after
 another) against `single` (one measurement pass for all boundaries).
@@ -37,6 +39,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from rebasin import ops
 from rebasin.data import Dataset, hold_out, synth_embedded
 from rebasin.match import _score_matrix, random_perm
 from rebasin.model import (WEIGHT_KINDS, _backward, _forward_cached, _layer_fwd, build_model,
@@ -65,8 +68,18 @@ def median_ms(fn, repeats):
     return 1e3 * statistics.median(times)
 
 
+def split_bwd(spec, p, cache, dy):
+    """(dx, dw) kernel calls of a weight layer's backward, as _backward makes them."""
+    w = p[f"{spec.name}.w"]
+    if spec.kind == "dense":
+        return lambda: ops.dense_dx(w, dy), lambda: ops.dense_wgrad(cache, dy)
+    cols, x_shape = cache
+    return (lambda: ops.conv2d_dx(x_shape, w, dy, spec.stride, spec.pad),
+            lambda: ops.conv2d_wgrad(cols, w.shape, dy))
+
+
 def layer_rows(model, batch, repeats):
-    """(spec, input shape, [fwd, bwd(, fisher)] ms) per layer, in layer order.
+    """(spec, input shape, [fwd, bwd(, fisher, dx, dw)] ms) per layer, in layer order.
 
     Each backward starts from the gradient the layer above passed down, so
     it sees the dtypes and the pooling ties of a real training step."""
@@ -88,6 +101,7 @@ def layer_rows(model, batch, repeats):
         if spec.kind in WEIGHT_KINDS:
             row[2].append(median_ms(lambda: _backward(model, one, dy, weight_hook=hook),
                                     repeats))
+            row[2].extend(median_ms(fn, repeats) for fn in split_bwd(spec, p, cache, dy))
         dy = _backward(model, one, dy)["x"]
     return rows
 
@@ -158,7 +172,7 @@ def main():
     print(f"# {os.cpu_count()} cores, python {platform.python_version()}, "
           f"numpy {np.__version__}, median of {args.repeats} calls, ms")
     print(f"{'layer':<10}{'kind':<11}{'input':>12}{'batch':>7}"
-          f"{'fwd':>9}{'bwd':>9}{'fisher':>9}")
+          f"{'fwd':>9}{'bwd':>9}{'fisher':>9}{'dx':>9}{'dw':>9}")
     for batch in args.batches:
         totals = [0.0, 0.0]
         for spec, shape, row in layer_rows(model, batch, args.repeats):

@@ -19,7 +19,7 @@ from .lap import solve_lap
 from .match import _resolve_matcher, apply_perm, multi_match
 from .model import POST, NonFiniteError, build_model
 from .probes import channel_probe
-from .prune import apply_mask, mask_from_scores, post_prune_repair, score
+from .prune import apply_mask, check_mask_args, mask_from_scores, post_prune_repair, score
 from .renorm import RENORM_MODES, eval_curve
 from .train import DivergedError, TrainConfig, evaluate, init_params, train
 
@@ -289,9 +289,6 @@ def _cmd_prune(cfg, run):
                       "granularity", "sparsities", "repair", "exempt_first",
                       "scale_by_weight_sq", "batch_size"},
                 {"checkpoint", "dataset"}, "prune config")
-    model = load_checkpoint(cfg["checkpoint"])
-    ds, test = _train_test(cfg)
-    eval_ds = ds if test is None else test
     method = cfg.get("method", "magnitude")
     repair_mode = cfg.get("repair")
     if repair_mode is not None and repair_mode not in ("reset", "repair"):
@@ -300,6 +297,12 @@ def _cmd_prune(cfg, run):
     sparsities = cfg.get("sparsities", [0.0, 0.25, 0.5, 0.75, 0.9])
     if any(isinstance(s, bool) or not isinstance(s, (int, float)) for s in sparsities):
         raise ValueError(f"sparsities must be numbers, got {sparsities!r}")
+    granularity = cfg.get("granularity", "global")
+    for s in sparsities:    # every request is checked before any pass runs
+        check_mask_args(float(s), granularity)
+    model = load_checkpoint(cfg["checkpoint"])
+    ds, test = _train_test(cfg)
+    eval_ds = ds if test is None else test
     smap = score(model, method=method,
                  dataset=ds if method == "diag_fisher" else None,
                  scale_by_weight_sq=_flag("scale_by_weight_sq",
@@ -307,8 +310,7 @@ def _cmd_prune(cfg, run):
                  exempt_first=_flag("exempt_first", cfg.get("exempt_first", False)))
     rows = []
     for s in sparsities:
-        mask = mask_from_scores(smap, float(s),
-                                granularity=cfg.get("granularity", "global"))
+        mask = mask_from_scores(smap, float(s), granularity=granularity)
         pruned = apply_mask(model, mask)
         row = [float(s), evaluate(pruned, eval_ds)[1]]
         if repair_mode:

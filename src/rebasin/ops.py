@@ -10,7 +10,10 @@ Layout: given C-contiguous arrays, every op returns C-contiguous arrays;
 conv2d_fwd and col2im return them whatever their input's layout. So every
 activation and gradient of a network keeps one (N, C[, H, W]) layout, and
 elementwise ops and per-channel reductions run on matching contiguous
-operands.
+operands. Convolution is channels-first too: im2col lays the patches out as
+(N, C*k*k, Ho*Wo), so the forward GEMM W @ cols writes (N, Cout, Ho*Wo),
+the NCHW output, and the input gradient W.T @ dy is patch gradients in the
+same layout, which col2im reads by whole (Ho, Wo) rows.
 
 In place: an op writes into a buffer it allocated itself, and into an
 argument only where that is documented: relu_bwd writes into dy, and the
@@ -73,21 +76,25 @@ def conv_out_hw(h, w, k, stride, pad):
 
 
 def im2col(x, k, stride, pad):
-    """(N,C,H,W) -> (N, Ho*Wo, C*k*k) patch matrix.
+    """(N,C,H,W) -> (N, C*k*k, Ho*Wo) patch matrix, in a buffer of its own.
 
-    The input is copied once to a zero-padded (N, H, W, C) buffer, then each of
-    the k*k kernel offsets fills its slot of the (N, Ho, Wo, C, k, k) output
-    with one strided slice copy.
+    Row c*k*k + ki*k + kj of sample n holds input channel c at kernel offset
+    (ki, kj) for every output position, row-major. The input is zero-padded
+    (one NCHW copy) only when pad > 0; each of the k*k kernel offsets then
+    fills its (N, C, Ho, Wo) slot of the (N, C, k*k, Ho, Wo) output with one
+    strided slice copy. The patches never share memory with x, which later
+    layers of an eval walk may overwrite.
     """
     n, c, h, w = x.shape
     ho, wo = conv_out_hw(h, w, k, stride, pad)
-    xp = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
-    cols = np.empty((n, ho, wo, c, k, k), dtype=x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[..., ki, kj] = xp[:, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
-    return cols.reshape(n, ho * wo, c * k * k), (ho, wo)
+    xp = x
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad:pad + h, pad:pad + w] = x
+    cols = np.empty((n, c, k * k, ho, wo), dtype=x.dtype)
+    for i, win in enumerate(_pool_windows(ho, wo, k, stride)):
+        cols[:, :, i] = xp[win]
+    return cols.reshape(n, c * k * k, ho * wo), (ho, wo)
 
 
 def _inside(off, pad, stride, n_out, size):
@@ -100,16 +107,18 @@ def _inside(off, pad, stride, n_out, size):
 
 
 def col2im(dcols, x_shape, k, stride, pad, out_hw):
-    """Sum patch gradients back onto the (N, C, H, W) input, C-contiguous.
+    """Sum (N, C*k*k, Ho*Wo) patch gradients back onto the (N, C, H, W)
+    input, C-contiguous.
 
     Each kernel offset adds, in row-major offset order, the gradients of the
-    patch entries that fall inside the input; entries on the zero padding
-    are dropped, as slicing them off a padded sum would drop them.
+    patch entries that fall inside the input, reading whole (Ho, Wo) rows of
+    dcols; entries on the zero padding are dropped, as slicing them off a
+    padded sum would drop them.
     """
     n, c, h, w = x_shape
     ho, wo = out_hw
     dx = np.zeros((n, c, h, w), dtype=dcols.dtype)
-    d6 = dcols.reshape(n, ho, wo, c, k, k).transpose(0, 3, 4, 5, 1, 2)  # (N,C,k,k,Ho,Wo)
+    d6 = dcols.reshape(n, c, k, k, ho, wo)
     for ki in range(k):
         src_i, dst_i = _inside(ki, pad, stride, ho, h)
         for kj in range(k):
@@ -119,31 +128,38 @@ def col2im(dcols, x_shape, k, stride, pad, out_hw):
 
 
 def conv2d_fwd(x, w, b, stride, pad):
+    """(y, cols): y = W @ cols per sample, which is already (N, Cout, Ho*Wo),
+    so the GEMM writes the NCHW output and no layout copy follows."""
     n = x.shape[0]
     cout, cin, k, _ = w.shape
     cols, (ho, wo) = im2col(x, k, stride, pad)
-    y = cols @ w.reshape(cout, -1).T             # (N, Ho*Wo, Cout)
-    y = np.ascontiguousarray(y.transpose(0, 2, 1))   # the one copy to (N, Cout, Ho*Wo)
+    y = w.reshape(cout, -1) @ cols
     if b is not None:
         y = _into(np.add, y, b[:, None])
     return y.reshape(n, cout, ho, wo), cols
 
 
-def _dy_rows(dy):
-    n, cout, ho, wo = dy.shape
-    return dy.reshape(n, cout, ho * wo).transpose(0, 2, 1)     # (N, Ho*Wo, Cout)
-
-
 def conv2d_dx(x_shape, w, dy, stride, pad):
-    dcols = _dy_rows(dy) @ w.reshape(w.shape[0], -1)
+    """Input gradient: the (N, C*k*k, Ho*Wo) patch gradients W.T @ dy, per
+    sample, summed back onto the input by col2im."""
+    n, cout = dy.shape[:2]
+    dcols = w.reshape(cout, -1).T @ dy.reshape(n, cout, -1)
     return col2im(dcols, x_shape, w.shape[2], stride, pad, dy.shape[2:])
 
 
 def conv2d_wgrad(cols, w_shape, dy):
-    """Weight and bias gradients of a conv layer from its im2col patches: (dw, db)."""
+    """Weight and bias gradients of a conv layer from its im2col patches: (dw, db).
+
+    dw is one GEMM that reduces over (n, p), samples major: dw.T =
+    patches (C*k*k, N*Ho*Wo) @ dy (N*Ho*Wo, Cout). The patches' copy moves
+    whole Ho*Wo rows, cheaper than transposing them element-wise.
+    """
+    n, ckk, _ = cols.shape
     cout = w_shape[0]
-    dw = (_dy_rows(dy).reshape(-1, cout).T @ cols.reshape(-1, cols.shape[-1])).reshape(w_shape)
-    return dw, dy.sum(axis=(0, 2, 3))
+    patches = np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(ckk, -1)
+    rows = np.ascontiguousarray(dy.reshape(n, cout, -1).transpose(0, 2, 1)).reshape(-1, cout)
+    dw = np.ascontiguousarray((patches @ rows).T)
+    return dw.reshape(w_shape), dy.sum(axis=(0, 2, 3))
 
 
 def conv2d_bwd(cols, x_shape, w, dy, stride, pad):
@@ -151,10 +167,15 @@ def conv2d_bwd(cols, x_shape, w, dy, stride, pad):
 
 
 def conv2d_sq_grad(cols, w_shape, dy):
-    """Sum over samples of the squared per-sample weight gradient, in float64."""
+    """Sum over samples of the squared per-sample weight gradient, in float64.
+
+    The per-sample gradients g = dy (Cout, Ho*Wo) @ patches.T (Ho*Wo, C*k*k)
+    come from one C-ordered float64 copy of the transposed patches, and g is
+    squared in place."""
     n, cout = dy.shape[:2]
-    g = dy.reshape(n, cout, -1).astype(np.float64) @ cols.astype(np.float64)  # (N, Cout, C*k*k)
-    return (g ** 2).sum(axis=0).reshape(w_shape)
+    g = dy.reshape(n, cout, -1).astype(np.float64) @ \
+        cols.transpose(0, 2, 1).astype(np.float64, order="C")      # (N, Cout, C*k*k)
+    return np.square(g, out=g).sum(axis=0).reshape(w_shape)
 
 
 # ---------------------------------------------------------------- relu / pool / flatten
@@ -171,7 +192,8 @@ def relu_bwd(y, dy):
 
 def _pool_windows(ho, wo, k, stride):
     """Index of each kernel offset's strided slice, in row-major offset order:
-    x[win] holds that element of every pooling window, laid out like y."""
+    x[win] holds that element of every pooling window, laid out like y.
+    im2col reads its patches the same way."""
     for ki in range(k):
         for kj in range(k):
             yield (..., slice(ki, ki + stride * (ho - 1) + 1, stride),

@@ -42,7 +42,7 @@ class LayerProbe:
     """Per-boundary activation scales plus per-weight-layer Fisher means."""
     rows: dict = field(default_factory=dict)    # bid -> column dict
     fisher: dict = field(default_factory=dict)  # weight tensor -> mean info
-    batch_count: int = 0
+    batch_count: int = 0    # full batches read, by the rows and the Fisher means alike
 
     def to_jsonable(self):
         return {"rows": {bid: dict(row) for bid, row in self.rows.items()},
@@ -70,6 +70,9 @@ def channel_probe(model, dataset, batch_size=256, max_batches=None,
     spatial positions, and channels; zero_frac counts exactly-zero entries
     after the boundary's post chain. with_fisher adds the mean diagonal
     Fisher information of every conv/dense weight tensor.
+
+    Both halves read the same rows: the first max_batches full batches, a
+    final short batch dropped. batch_count counts them.
     """
     wir = wiring(model)
     taps = [(b.bid, ph) for b in wir.values() for ph in (PRE, POST)]
@@ -105,7 +108,7 @@ def channel_probe(model, dataset, batch_size=256, max_batches=None,
     fisher = {}
     if with_fisher:
         raw = _diag_fisher(model, prunable_keys(model), dataset, batch_size,
-                           max_batches)
+                           max_batches, drop_last=True)
         fisher = {k: float(v.mean()) for k, v in raw.items()}
     return LayerProbe(rows=rows, fisher=fisher, batch_count=batch_count)
 

@@ -85,7 +85,10 @@ class PruneMask:
 
 # ---------------------------------------------------------------- scoring
 
-def _diag_fisher(model, keys, dataset, batch_size, max_batches):
+def _diag_fisher(model, keys, dataset, batch_size, max_batches, drop_last=False):
+    """Mean over the rows read of each key's squared per-sample loss gradient.
+    drop_last drops a final short batch, as channel_probe's activation pass
+    does; scoring reads every row."""
     acc = {k: np.zeros(model.params[k].shape, dtype=np.float64) for k in keys}
 
     def add_sq_grads(key, sq):
@@ -93,7 +96,7 @@ def _diag_fisher(model, keys, dataset, batch_size, max_batches):
             acc[key] += sq
 
     seen = 0
-    for _, xb, yb in _inputs(dataset, batch_size, drop_last=False,
+    for _, xb, yb in _inputs(dataset, batch_size, drop_last=drop_last,
                              max_batches=max_batches):
         # batchnorm on running statistics keeps the samples independent
         logits, caches = _forward_cached(model, xb, update_stats=False,
@@ -145,18 +148,23 @@ def _drop_lowest(scores, count, tensor_idx):
     return order[:count]
 
 
-def mask_from_scores(smap, sparsity, granularity="global"):
-    """Keep-mask dropping floor(sparsity * count) coordinates of lowest score.
-
-    global pools every tensor into one ranking; layerwise applies the quota
-    to each tensor separately.
-    """
+def check_mask_args(sparsity, granularity):
+    """Raise ValueError unless mask_from_scores accepts this request."""
     if not isinstance(sparsity, (int, float)) or math.isnan(sparsity) \
             or not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must lie in [0, 1], got {sparsity}")
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}, "
                          f"expected one of {GRANULARITIES}")
+
+
+def mask_from_scores(smap, sparsity, granularity="global"):
+    """Keep-mask dropping floor(sparsity * count) coordinates of lowest score.
+
+    global pools every tensor into one ranking; layerwise applies the quota
+    to each tensor separately.
+    """
+    check_mask_args(sparsity, granularity)
     keep = {}
     if granularity == "layerwise":
         for k, s in smap.scores.items():

@@ -640,6 +640,30 @@ def test_prune_rejects_a_sparsity_that_is_no_number(tmp_path, ckpts, capsys, spa
     assert "sparsities" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("request_, message", [
+    ({"sparsities": [0.5, 1.5]}, "sparsity must lie in [0, 1]"),
+    ({"sparsities": [0.5], "granularity": "per_channel"}, "unknown granularity"),
+], ids=["sparsity", "granularity"])
+def test_prune_rejects_a_bad_mask_request_before_any_pass(tmp_path, ckpts, capsys,
+                                                          monkeypatch, request_, message):
+    calls = []
+
+    def spy(name):
+        fn = getattr(cli, name)
+
+        def wrapped(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+        return wrapped
+    for name in ("load_checkpoint", "score", "evaluate"):
+        monkeypatch.setattr(cli, name, spy(name))
+    cfg = write_cfg(tmp_path, checkpoint=ckpts[0], dataset=BLOBS, method="diag_fisher",
+                    **request_)
+    assert main(["prune", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
 @pytest.mark.parametrize("command", ["interp", "prune"])
 def test_a_dataset_of_no_rows_exits_2(tmp_path, ckpts, capsys, command):
     doc = {"checkpoints": ckpts[:2], "grid": "quick"} if command == "interp" else \

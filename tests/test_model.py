@@ -2,7 +2,8 @@
 
 The forward oracles here are loop-based scalar reimplementations, written
 independently of the vectorized engine. The kernel oracles are the earlier
-vectorized formulations: argmax pooling, window-view im2col and einsum dw.
+vectorized formulations: argmax pooling, window-view im2col and einsum dw,
+plus a float64 scatter for the conv input gradient.
 """
 import numpy as np
 import pytest
@@ -98,19 +99,39 @@ def argmax_maxpool_bwd(x_shape, arg, k, stride, dy):
 
 
 def window_im2col(x, k, stride, pad):
-    """im2col as one copy of a transposed 6-D sliding-window view."""
+    """im2col as one copy of a transposed 6-D sliding-window view: (N, C*k*k, Ho*Wo)."""
     n, c, h, w = x.shape
     x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
     win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * k * k))
+    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, ho * wo))
 
 
 def einsum_conv_dw(cols, dy):
-    """Conv weight gradient as one einsum over samples and positions: (Cout, C*k*k)."""
+    """Conv weight gradient as one einsum over samples and positions, from
+    (N, C*k*k, Ho*Wo) patches: (Cout, C*k*k)."""
     n, cout = dy.shape[:2]
-    return np.einsum("npo,npk->ok", dy.reshape(n, cout, -1).transpose(0, 2, 1), cols)
+    return np.einsum("npo,npk->ok", dy.reshape(n, cout, -1).transpose(0, 2, 1),
+                     cols.transpose(0, 2, 1))
+
+
+def scatter_conv_dx(x_shape, w, dy, stride, pad):
+    """Conv input gradient in float64: each dy entry times each weight, added
+    one product at a time onto the input position its tap reads."""
+    n, c, h, wd = x_shape
+    cout, _, k, _ = w.shape
+    ho, wo = dy.shape[2:]
+    dx = np.zeros((n, c, h + 2 * pad, wd + 2 * pad))
+    i = np.arange(ho)[:, None] * stride
+    j = np.arange(wo)[None, :] * stride
+    for o in range(cout):
+        for ci in range(c):
+            for ki in range(k):
+                for kj in range(k):
+                    np.add.at(dx, (slice(None), ci, i + ki, j + kj),
+                              float(w[o, ci, ki, kj]) * dy[:, o].astype(np.float64))
+    return dx[:, :, pad:pad + h, pad:pad + wd]
 
 
 def bn_eval_oracle(x, gamma, beta, mean, var, eps):
@@ -587,7 +608,37 @@ def test_im2col_matches_window_view_bitwise(k, stride, pad):
     x = rand_batch((3, 7, 6), 2, seed=k + stride + pad)
     cols, (ho, wo) = ops.im2col(x, k, stride, pad)
     assert bits_equal(cols, window_im2col(x, k, stride, pad))
-    assert cols.shape[1] == ho * wo
+    assert cols.shape[2] == ho * wo
+
+
+@pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (2, 2, 0), (1, 1, 0), (3, 1, 0)])
+def test_im2col_never_shares_memory_with_its_input(k, stride, pad):
+    # an eval walk overwrites activations in place; patches cached for a
+    # backward must not change with them
+    x = rand_batch((3, 7, 6), 2, seed=k + stride + pad)
+    cols, _ = ops.im2col(x, k, stride, pad)
+    assert not np.shares_memory(cols, x)
+    before = cols.copy()
+    x[...] = np.nan
+    assert bits_equal(cols, before)
+
+
+@pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (2, 2, 0), (1, 1, 0), (3, 1, 0)])
+def test_conv_dx_matches_float64_scatter_to_float32_rounding(k, stride, pad):
+    rng = np.random.default_rng(10 * k + stride + pad)
+    x_shape = (4, 3, 7, 6)
+    w = rng.standard_normal((5, 3, k, k)).astype(np.float32)
+    ho, wo = ops.conv_out_hw(7, 6, k, stride, pad)
+    dy = rng.standard_normal((4, 5, ho, wo)).astype(np.float32)
+    dx = ops.conv2d_dx(x_shape, w, dy, stride, pad)
+    assert dx.dtype == np.float32 and dx.shape == x_shape and dx.flags.c_contiguous
+    want = scatter_conv_dx(x_shape, w, dy, stride, pad)
+    # each entry sums at most Cout*k*k products, rounded in float32 once
+    # each and added in some order: within m * eps32 * sum|w * dy| of exact
+    m = 5 * k * k
+    bound = m * np.finfo(np.float32).eps * scatter_conv_dx(x_shape, np.abs(w), np.abs(dy),
+                                                           stride, pad)
+    assert np.all(np.abs(dx - want) <= bound)
 
 
 @pytest.mark.parametrize("stride, pad", [(1, 1), (2, 1), (1, 0)])

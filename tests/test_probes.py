@@ -4,6 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from rebasin import probes, prune
 from rebasin.data import synth_blobs
 from rebasin.match import apply_perm, random_perm
 from rebasin.model import build_model, forward, mlp_descriptor, wiring
@@ -143,6 +146,28 @@ def test_channel_probe_csv_and_json(tmp_path):
     back = json.loads(json.dumps(probe.to_jsonable()))
     assert set(back["rows"]) == set(probe.rows)
     assert back["fisher"]["dense0.w"] == probe.fisher["dense0.w"]
+
+
+def test_channel_probe_halves_read_the_same_rows(monkeypatch):
+    # 100 rows at batch 64: the activation and Fisher passes both drop the
+    # 36-row tail, while pruning scores still read every row
+    m, ds = mlp(9), blobs(n=100)
+    rows = {"act": 0, "fisher": 0}
+
+    def counting(fn, key):
+        def wrapped(model, x, *args, **kw):
+            rows[key] += len(x)
+            return fn(model, x, *args, **kw)
+        return wrapped
+    monkeypatch.setattr(probes, "forward", counting(probes.forward, "act"))
+    monkeypatch.setattr(prune, "_forward_cached", counting(prune._forward_cached, "fisher"))
+    probe = channel_probe(m, ds, batch_size=64)
+    assert rows == {"act": 64, "fisher": 64} and probe.batch_count == 1
+    head = replace(ds, inputs=ds.inputs[:64], labels=ds.labels[:64])
+    assert probe.fisher == channel_probe(m, head, batch_size=64).fisher
+    rows["fisher"] = 0
+    prune.score(m, "diag_fisher", ds, batch_size=64)
+    assert rows["fisher"] == 100
 
 
 def test_channel_probe_needs_one_batch():
