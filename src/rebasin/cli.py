@@ -2,24 +2,28 @@
 experiment recipe and writes its outputs into a fresh, append-only run
 directory together with the effective config snapshot that reproduces it;
 a run that completes also records, in env.json, the build and thread
-settings its bits depend on.
+settings its bits depend on. A command's config is read through its one table
+of keys (_COMMANDS) and checked in full before any checkpoint or data is read.
 
 Exit codes: 0 success, 2 config/validation trouble, 3 numerical failure.
 """
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
+from . import data
 from .checkpoint import _atomic_write, load_checkpoint, save_checkpoint
-from .lap import solve_lap
-from .match import _resolve_matcher, apply_perm, multi_match
+from .lap import SENSES, solve_lap
+from .match import MATCHERS, STRATEGIES, _resolve_matcher, apply_perm, multi_match
 from .model import POST, NonFiniteError, build_model
 from .probes import channel_probe
-from .prune import apply_mask, check_mask_args, mask_from_scores, post_prune_repair, score
+from .prune import (GRANULARITIES, METHODS, POST_PRUNE_MODES, apply_mask, mask_from_scores,
+                    post_prune_repair, score)
 from .renorm import RENORM_MODES, eval_curve
 from .train import DivergedError, TrainConfig, evaluate, init_params, train
 
@@ -27,104 +31,149 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-STRATEGIES = ("reference", "sequential", "iterative")
+REQUIRED = object()     # a table default: the key must be given
+
+
+# ---------------------------------------------------------------- config tables
+
+def _read(doc, table, ctx):
+    """doc's values by table (key -> (kind, default)), each checked by its
+    kind and defaults filled in; unknown and missing keys raise. A kind is
+    called as kind(key, value) and returns the value, not coerced, or raises
+    ValueError naming the key. A key whose default is None also takes null."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{ctx} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(table)
+    if unknown:
+        raise ValueError(f"{ctx}: unknown keys {sorted(unknown)}")
+    missing = {k for k, (_, default) in table.items() if default is REQUIRED} - set(doc)
+    if missing:
+        raise ValueError(f"{ctx}: missing keys {sorted(missing)}")
+    values = {}
+    for key, (kind, default) in table.items():
+        value = doc.get(key, default)
+        if key in doc and not (value is None and default is None):
+            try:
+                value = kind(key, value)
+            except ValueError as e:
+                raise ValueError(f"{ctx}: {e}") from None
+        values[key] = value
+    return values
+
+
+def _count(low):
+    """An integer (a bool is none) of at least low."""
+    def check(key, value):
+        if type(value) is not int or value < low:
+            raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+        return value
+    return check
+
+
+def _typed(cls, what):
+    def check(key, value):
+        if type(value) is not cls:
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        return value
+    return check
+
+
+_flag, _string = _typed(bool, "true or false"), _typed(str, "a string")
+
+
+def _number(low=-math.inf, high=math.inf):
+    """A number in [low, high]: no bool, and none of json.load's NaN or Infinity."""
+    def check(key, value):
+        if type(value) not in (int, float) or not -math.inf < value < math.inf:
+            raise ValueError(f"{key} must be a finite number, got {value!r}")
+        if not low <= value <= high:
+            raise ValueError(f"{key} must lie in [{low}, {high}], got {value!r}")
+        return value
+    return check
+
+
+def _choice(options):
+    def check(key, value):
+        if value not in options:
+            raise ValueError(f"unknown {key} {value!r}, expected one of {options}")
+        return value
+    return check
+
+
+def _list(kind, item, size=None, least=1, distinct=False):
+    """A list of exactly size entries, or else of at least least, each
+    checked by kind under the name item."""
+    def check(key, value):
+        if not isinstance(value, list) or len(value) < least \
+                or size not in (None, len(value)):
+            raise ValueError(f"{key} must be a list of {size or f'{least} or more'} "
+                             f"entries, got {value!r}")
+        try:
+            value = [kind(item, v) for v in value]
+        except ValueError as e:
+            raise ValueError(f"{key}: {e}") from None
+        if distinct and len(set(value)) < len(value):
+            raise ValueError(f"{key} must be distinct, got {value!r}")
+        return value
+    return check
+
+
+# A train section holds TrainConfig's fields, each of the kind its default's type implies.
+_TRAIN_KINDS = {bool: _flag, int: _count(0), float: _number(), str: _string,
+                tuple: _list(_count(0), "milestone", least=0)}
+_TRAIN = {f.name: (_TRAIN_KINDS[type(f.default)], f.default) for f in fields(TrainConfig)}
+
+
+_SYNTH = {"seed": (_count(0), REQUIRED), "n": (_count(0), REQUIRED),
+          "dims": (_count(1), REQUIRED), "classes": (_count(2), REQUIRED),
+          "spread": (_number(), REQUIRED), "clusters_per_class": (_count(1), 1),
+          "image_shape": (_list(_count(1), "size"), None), "split": (_string, "train")}
+_FILES = {"standardize": (_flag, True), "split": (_string, "train")}
+# kind -> (its generator's name in rebasin.data, the generator's arguments)
+_DATASETS = {
+    "blobs": ("synth_blobs", {**_SYNTH, "standardize": (_flag, True)}),
+    "embedded": ("synth_embedded", {**_SYNTH, "d_eff": (_count(1), REQUIRED),
+                                    "ambient": (_number(), 0.3)}),
+    "idx": ("load_idx", {"images": (_string, REQUIRED), "labels": (_string, REQUIRED),
+                         **_FILES}),
+    "cifar": ("load_cifar_bin", {"paths": (_list(_string, "path"), REQUIRED), **_FILES}),
+}
+# Every kind takes hold_out/part, so that train and test slices come from one
+# generation pass; separately seeded pools have unrelated centers.
+_SLICE = {"kind": (_string, REQUIRED), "hold_out": (_count(1), None),
+          "part": (_choice(("train", "test")), "train")}
+
+
+def _dataset(key, doc):
+    """A dataset doc, checked, as (generator name, its arguments, hold_out,
+    part); nothing is generated."""
+    kind = doc.get("kind") if isinstance(doc, dict) else doc
+    gen, table = _DATASETS[_choice(tuple(_DATASETS))(f"{key} kind", kind)]
+    args = _read(doc, {**table, **_SLICE}, key)
+    del args["kind"]
+    cut, part = args.pop("hold_out"), args.pop("part")
+    if part == "test" and cut is None:
+        raise ValueError(f"{key}: part 'test' needs hold_out")
+    return gen, args, cut, part
+
+
+def _generate(*specs):
+    """The datasets that dataset specs describe (None for None), one generation
+    per pool; generators are looked up on rebasin.data when called."""
+    pools, out = {}, []
+    for spec in specs:
+        if spec is not None:
+            gen, args, cut, part = spec
+            key = json.dumps([gen, args], sort_keys=True)
+            if key not in pools:
+                pools[key] = getattr(data, gen)(**args)
+            spec = pools[key] if cut is None else \
+                data.hold_out(pools[key], cut)[part == "test"]
+        out.append(spec)
+    return out
 
 
 # ---------------------------------------------------------------- plumbing
-
-def _check_keys(doc, allowed, required, ctx):
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ValueError(f"{ctx}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(doc)
-    if missing:
-        raise ValueError(f"{ctx}: missing keys {sorted(missing)}")
-
-
-def _count(key, value, low=1):
-    """A config field's value, checked and not coerced: an integer (a bool
-    is none) of at least low."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
-    return value
-
-
-def _flag(key, value):
-    """A config field's value, checked and not coerced: a JSON bool."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
-
-
-def _dataset(doc, pools=None):
-    """The dataset a config doc names. pools, a dict that lives for one
-    command, keeps each generated pool under its generation arguments (the
-    doc without hold_out/part), so the train and test parts of one pool cost
-    one generation."""
-    from .data import hold_out
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError("dataset config must be a dict with a 'kind'")
-    rest = {k: v for k, v in doc.items() if k not in ("hold_out", "part")}
-    # Synthetic kinds accept hold_out/part so train and test slices come from
-    # one generation pass; separately seeded pools have unrelated centers.
-    cut = doc.get("hold_out")
-    part = doc.get("part", "train")
-    if part not in ("train", "test"):
-        raise ValueError(f"part must be 'train' or 'test', got {part!r}")
-    if part == "test" and cut is None:
-        raise ValueError("part 'test' needs hold_out")
-    pools = {} if pools is None else pools
-    key = json.dumps(rest, sort_keys=True)
-    if key not in pools:
-        pools[key] = _pool(rest.pop("kind"), rest)
-    if cut is None:
-        return pools[key]
-    train, test = hold_out(pools[key], _count("hold_out", cut))
-    return test if part == "test" else train
-
-
-def _pool(kind, rest):
-    from .data import load_cifar_bin, load_idx, synth_blobs, synth_embedded
-    if kind == "blobs":
-        _check_keys(rest, {"seed", "n", "dims", "classes", "spread",
-                           "clusters_per_class", "image_shape", "standardize",
-                           "split"},
-                    {"seed", "n", "dims", "classes", "spread"}, "blobs dataset")
-        if rest.get("image_shape") is not None:
-            rest["image_shape"] = tuple(rest["image_shape"])
-        return synth_blobs(**rest)
-    if kind == "embedded":
-        _check_keys(rest, {"seed", "n", "dims", "d_eff", "classes", "spread",
-                           "clusters_per_class", "ambient", "image_shape",
-                           "split"},
-                    {"seed", "n", "dims", "d_eff", "classes", "spread"},
-                    "embedded dataset")
-        if rest.get("image_shape") is not None:
-            rest["image_shape"] = tuple(rest["image_shape"])
-        return synth_embedded(**rest)
-    if kind == "idx":
-        _check_keys(rest, {"images", "labels", "standardize", "split"},
-                    {"images", "labels"}, "idx dataset")
-        return load_idx(rest["images"], rest["labels"],
-                        standardize=rest.get("standardize", True),
-                        split=rest.get("split", "train"))
-    if kind == "cifar":
-        _check_keys(rest, {"paths", "standardize", "split"}, {"paths"},
-                    "cifar dataset")
-        return load_cifar_bin(rest["paths"],
-                              standardize=rest.get("standardize", True),
-                              split=rest.get("split", "train"))
-    raise ValueError(f"unknown dataset kind {kind!r}")
-
-
-def _train_test(cfg):
-    """A config's 'dataset' and its 'test_dataset' (None when absent), with
-    one generation for both parts of a shared pool."""
-    pools = {}
-    ds = _dataset(cfg["dataset"], pools)
-    test = _dataset(cfg["test_dataset"], pools) if "test_dataset" in cfg else None
-    return ds, test
-
 
 def _load_config(path):
     if path is None:
@@ -167,39 +216,14 @@ def _run_env():
             "cpu_count": os.cpu_count()}
 
 
-def _load_models(paths, want=None):
-    if want is not None and len(paths) != want:
-        raise ValueError(f"need exactly {want} checkpoints, got {len(paths)}")
-    return [load_checkpoint(p) for p in paths]
-
-
-def _grid(cfg):
-    """A curve config's grid as (points, quick): "grid": "quick" asks for
-    {0, 0.5, 1}, grid_points for that many uniform points (11 by default)."""
-    if "grid" in cfg:
-        if cfg["grid"] != "quick":
-            raise ValueError(f"grid must be 'quick', got {cfg['grid']!r}; "
-                             "use grid_points for a uniform grid")
-        if "grid_points" in cfg:
-            raise ValueError("grid 'quick' and grid_points conflict")
-        return None, True
-    points = _count("grid_points", cfg.get("grid_points", 11), low=2)
-    return [i / (points - 1) for i in range(points)], False
-
-
 # ---------------------------------------------------------------- subcommands
 
-def _cmd_train(cfg, run):
-    _check_keys(cfg, {"dataset", "test_dataset", "model", "train", "seeds"},
-                {"dataset", "model", "train"}, "train config")
-    ds, test = _train_test(cfg)
-    base = TrainConfig(**cfg["train"])
-    seeds = [_count("seeds", s, low=0) for s in cfg.get("seeds", [base.seed])]
+def _cmd_train(v, run):
+    ds, test = _generate(v["dataset"], v["test_dataset"])
     results = {}
-    for s in seeds:
-        tc = replace(base, seed=s)
-        model = init_params(build_model(cfg["model"]), tc.init, s)
-        model, log = train(model, ds, tc, test_ds=test)
+    for s in [v["train"].seed] if v["seeds"] is None else v["seeds"]:
+        tc = replace(v["train"], seed=s)
+        model, log = train(init_params(v["model"], tc.init, s), ds, tc, test_ds=test)
         save_checkpoint(model, os.path.join(run, f"model-seed{s}.rbnc"))
         log.write_csv(os.path.join(run, f"log-seed{s}.csv"))
         summary = results[str(s)] = log.summary()
@@ -210,17 +234,11 @@ def _cmd_train(cfg, run):
     return EXIT_OK
 
 
-def _cmd_match(cfg, run):
-    _check_keys(cfg, {"checkpoints", "matcher", "dataset", "seed",
-                      "max_sweeps", "batch_size"},
-                {"checkpoints"}, "match config")
-    a, b = _load_models(cfg["checkpoints"], want=2)
-    match = _resolve_matcher(cfg.get("matcher", "weight"),
-                             _dataset(cfg["dataset"]) if "dataset" in cfg else None,
-                             seed=_count("seed", cfg.get("seed", 0), low=0),
-                             batch_size=_count("batch_size", cfg.get("batch_size", 256)),
-                             phase=POST,
-                             max_sweeps=_count("max_sweeps", cfg.get("max_sweeps", 100)))
+def _cmd_match(v, run):
+    a, b = (load_checkpoint(p) for p in v["checkpoints"])
+    ds, = _generate(v["dataset"])
+    match = _resolve_matcher(v["matcher"], ds, seed=v["seed"], batch_size=v["batch_size"],
+                             phase=POST, max_sweeps=v["max_sweeps"])
     spec, report = match(a, b)
     _write_json(os.path.join(run, "perm.json"), {"perms": spec.to_jsonable()})
     _write_json(os.path.join(run, "report.json"),
@@ -232,51 +250,26 @@ def _cmd_match(cfg, run):
     return EXIT_OK
 
 
-def _cmd_curve(cfg, run, default_mode):
-    _check_keys(cfg, {"checkpoints", "dataset", "test_dataset", "grid",
-                      "grid_points", "mode", "sequential", "batch_size",
-                      "stats_batch_size"},
-                {"checkpoints", "dataset"}, "curve config")
-    a, b = _load_models(cfg["checkpoints"], want=2)
-    ds, test = _train_test(cfg)
-    grid, quick = _grid(cfg)
-    report = eval_curve(a, b, ds, test_ds=test, grid=grid, quick=quick,
-                        mode=cfg.get("mode", default_mode),
-                        sequential=_flag("sequential", cfg.get("sequential", False)),
-                        batch_size=_count("batch_size", cfg.get("batch_size", 512)),
-                        stats_batch_size=_count("stats_batch_size",
-                                                cfg.get("stats_batch_size", 256)))
+def _cmd_curve(v, run):
+    if v["grid"] and v["grid_points"]:
+        raise ValueError("grid 'quick' and grid_points conflict")
+    a, b = (load_checkpoint(p) for p in v["checkpoints"])
+    ds, test = _generate(v["dataset"], v["test_dataset"])
+    points = v["grid_points"] or 11
+    report = eval_curve(a, b, ds, test_ds=test, grid=[i / (points - 1) for i in range(points)],
+                        quick=bool(v["grid"]), mode=v["mode"], sequential=v["sequential"],
+                        batch_size=v["batch_size"], stats_batch_size=v["stats_batch_size"])
     report.write_csv(os.path.join(run, "curve.csv"))
     _write_json(os.path.join(run, "report.json"), report.summary())
     return EXIT_OK
 
 
-def _cmd_interp(cfg, run):
-    if cfg.get("mode", "none") != "none":
-        raise ValueError("interp always runs mode 'none'; use renorm instead")
-    return _cmd_curve(cfg, run, default_mode="none")
-
-
-def _cmd_renorm(cfg, run):
-    return _cmd_curve(cfg, run, default_mode="repair")
-
-
-def _cmd_merge(cfg, run):
-    _check_keys(cfg, {"checkpoints", "strategy", "matcher", "iter_cap",
-                      "dataset", "seed", "batch_size"},
-                {"checkpoints"}, "merge config")
-    models = _load_models(cfg["checkpoints"])
-    strategy = cfg.get("strategy", "reference")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}, "
-                         f"expected one of {STRATEGIES}")
-    ds = _dataset(cfg["dataset"]) if "dataset" in cfg else None
-    merged, perms = multi_match(models, strategy=strategy,
-                                matcher=cfg.get("matcher", "weight"),
-                                dataset=ds,
-                                iter_cap=_count("iter_cap", cfg.get("iter_cap", 30)),
-                                seed=_count("seed", cfg.get("seed", 0), low=0),
-                                batch_size=_count("batch_size", cfg.get("batch_size", 256)))
+def _cmd_merge(v, run):
+    models = [load_checkpoint(p) for p in v["checkpoints"]]
+    ds, = _generate(v["dataset"])
+    merged, perms = multi_match(models, strategy=v["strategy"], matcher=v["matcher"],
+                                dataset=ds, iter_cap=v["iter_cap"], seed=v["seed"],
+                                batch_size=v["batch_size"])
     save_checkpoint(merged, os.path.join(run, "merged.rbnc"))
     info = dict(merged.meta["merge"])
     info["perms"] = [p.to_jsonable() for p in perms]
@@ -284,83 +277,82 @@ def _cmd_merge(cfg, run):
     return EXIT_OK
 
 
-def _cmd_prune(cfg, run):
-    _check_keys(cfg, {"checkpoint", "dataset", "test_dataset", "method",
-                      "granularity", "sparsities", "repair", "exempt_first",
-                      "scale_by_weight_sq", "batch_size"},
-                {"checkpoint", "dataset"}, "prune config")
-    method = cfg.get("method", "magnitude")
-    repair_mode = cfg.get("repair")
-    if repair_mode is not None and repair_mode not in ("reset", "repair"):
-        raise ValueError(f"unknown repair mode {repair_mode!r}")
-    batch_size = _count("batch_size", cfg.get("batch_size", 256))
-    sparsities = cfg.get("sparsities", [0.0, 0.25, 0.5, 0.75, 0.9])
-    if any(isinstance(s, bool) or not isinstance(s, (int, float)) for s in sparsities):
-        raise ValueError(f"sparsities must be numbers, got {sparsities!r}")
-    granularity = cfg.get("granularity", "global")
-    for s in sparsities:    # every request is checked before any pass runs
-        check_mask_args(float(s), granularity)
-    model = load_checkpoint(cfg["checkpoint"])
-    ds, test = _train_test(cfg)
+def _cmd_prune(v, run):
+    model = load_checkpoint(v["checkpoint"])
+    ds, test = _generate(v["dataset"], v["test_dataset"])
     eval_ds = ds if test is None else test
-    smap = score(model, method=method,
-                 dataset=ds if method == "diag_fisher" else None,
-                 scale_by_weight_sq=_flag("scale_by_weight_sq",
-                                          cfg.get("scale_by_weight_sq", True)),
-                 exempt_first=_flag("exempt_first", cfg.get("exempt_first", False)))
+    smap = score(model, method=v["method"],
+                 dataset=ds if v["method"] == "diag_fisher" else None,
+                 scale_by_weight_sq=v["scale_by_weight_sq"], exempt_first=v["exempt_first"])
     rows = []
-    for s in sparsities:
-        mask = mask_from_scores(smap, float(s), granularity=granularity)
-        pruned = apply_mask(model, mask)
+    for s in v["sparsities"]:
+        pruned = apply_mask(model, mask_from_scores(smap, float(s),
+                                                    granularity=v["granularity"]))
         row = [float(s), evaluate(pruned, eval_ds)[1]]
-        if repair_mode:
-            fixed = post_prune_repair(pruned, model, ds, mode=repair_mode,
-                                      batch_size=batch_size)
+        if v["repair"]:
+            fixed = post_prune_repair(pruned, model, ds, mode=v["repair"],
+                                      batch_size=v["batch_size"])
             row.append(evaluate(fixed, eval_ds)[1])
         rows.append(row)
-    header = "sparsity,accuracy" + (",repaired_accuracy" if repair_mode else "")
+    header = "sparsity,accuracy" + (",repaired_accuracy" if v["repair"] else "")
     with _atomic_write(os.path.join(run, "sparsity_vs_accuracy.csv")) as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(repr(v) for v in row) + "\n")
+            fh.write(",".join(repr(x) for x in row) + "\n")
     return EXIT_OK
 
 
-def _cmd_probe(cfg, run):
-    _check_keys(cfg, {"checkpoint", "dataset", "batch_size", "max_batches",
-                      "with_fisher"},
-                {"checkpoint", "dataset"}, "probe config")
-    model = load_checkpoint(cfg["checkpoint"])
-    max_batches = cfg.get("max_batches")
-    probe = channel_probe(model, _dataset(cfg["dataset"]),
-                          batch_size=_count("batch_size", cfg.get("batch_size", 256)),
-                          max_batches=None if max_batches is None else
-                          _count("max_batches", max_batches),
-                          with_fisher=_flag("with_fisher", cfg.get("with_fisher", True)))
+def _cmd_probe(v, run):
+    model = load_checkpoint(v["checkpoint"])
+    probe = channel_probe(model, *_generate(v["dataset"]), batch_size=v["batch_size"],
+                          max_batches=v["max_batches"], with_fisher=v["with_fisher"])
     probe.write_csv(os.path.join(run, "probe.csv"))
     _write_json(os.path.join(run, "probe.json"), probe.to_jsonable())
     return EXIT_OK
 
 
-def _cmd_lap(cfg, run):
-    _check_keys(cfg, {"matrix", "sense"}, {"matrix"}, "lap config")
-    res = solve_lap(np.asarray(cfg["matrix"], dtype=np.float64),
-                    sense=cfg.get("sense", "minimize"))
+def _cmd_lap(v, run):
+    res = solve_lap(np.asarray(v["matrix"], dtype=np.float64), sense=v["sense"])
     _write_json(os.path.join(run, "assignment.json"),
                 {"perm": [int(i) for i in res.perm],
                  "objective": res.objective, "sense": res.sense})
     return EXIT_OK
 
 
-_HANDLERS = {
-    "train": _cmd_train,
-    "match": _cmd_match,
-    "interp": _cmd_interp,
-    "renorm": _cmd_renorm,
-    "merge": _cmd_merge,
-    "prune": _cmd_prune,
-    "probe": _cmd_probe,
-    "lap": _cmd_lap,
+_PAIR = {"checkpoints": (_list(_string, "checkpoint", size=2), REQUIRED)}
+_CURVE = {**_PAIR, "dataset": (_dataset, REQUIRED), "test_dataset": (_dataset, None),
+          "grid": (_choice(("quick",)), None), "grid_points": (_count(2), None),
+          "sequential": (_flag, False), "batch_size": (_count(1), 512),
+          "stats_batch_size": (_count(1), 256)}
+_MATCHING = {"matcher": (_choice(MATCHERS), "weight"), "dataset": (_dataset, None),
+             "seed": (_count(0), 0), "batch_size": (_count(1), 256)}
+_ONE = {"checkpoint": (_string, REQUIRED), "dataset": (_dataset, REQUIRED),
+           "batch_size": (_count(1), 256)}
+
+# command -> (handler, table); main hands the handler the table's checked values
+_COMMANDS = {
+    "train": (_cmd_train, {
+        "dataset": (_dataset, REQUIRED), "test_dataset": (_dataset, None),
+        "model": (lambda key, desc: build_model(desc), REQUIRED),
+        "train": (lambda key, doc: TrainConfig(**_read(doc, _TRAIN, key)), REQUIRED),
+        "seeds": (_list(_count(0), "seed", distinct=True), None)}),
+    "match": (_cmd_match, {**_PAIR, **_MATCHING, "max_sweeps": (_count(1), 100)}),
+    "interp": (_cmd_curve, {**_CURVE, "mode": (_choice(("none",)), "none")}),
+    "renorm": (_cmd_curve, {**_CURVE, "mode": (_choice(RENORM_MODES), "repair")}),
+    "merge": (_cmd_merge, {
+        "checkpoints": (_list(_string, "checkpoint"), REQUIRED), **_MATCHING,
+        "strategy": (_choice(STRATEGIES), "reference"), "iter_cap": (_count(1), 30)}),
+    "prune": (_cmd_prune, {
+        **_ONE, "test_dataset": (_dataset, None),
+        "method": (_choice(METHODS), "magnitude"),
+        "granularity": (_choice(GRANULARITIES), "global"),
+        "sparsities": (_list(_number(0, 1), "sparsity"), [0.0, 0.25, 0.5, 0.75, 0.9]),
+        "repair": (_choice(POST_PRUNE_MODES), None),
+        "exempt_first": (_flag, False), "scale_by_weight_sq": (_flag, True)}),
+    "probe": (_cmd_probe, {**_ONE, "max_batches": (_count(1), None),
+                           "with_fisher": (_flag, True)}),
+    "lap": (_cmd_lap, {"matrix": (_list(_list(_number(), "entry"), "row"), REQUIRED),
+                       "sense": (_choice(SENSES), "minimize")}),
 }
 
 
@@ -372,7 +364,7 @@ def _build_parser():
         description="train, align, interpolate, re-normalize, and prune "
                     "small networks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", default="runs", help="output root directory")
@@ -417,13 +409,10 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(args, _load_config(args.config))
-        if args.command in ("interp", "renorm") and \
-                cfg.get("mode", "none" if args.command == "interp" else "repair") \
-                not in RENORM_MODES:
-            raise ValueError(f"unknown mode {cfg.get('mode')!r}")
         run = _new_run_dir(args.out, args.command)
         _write_json(os.path.join(run, "config.json"), cfg)
-        code = _HANDLERS[args.command](cfg, run)
+        handler, table = _COMMANDS[args.command]
+        code = handler(_read(cfg, table, f"{args.command} config"), run)
         _write_json(os.path.join(run, "env.json"), _run_env())
         print(run)
         return code

@@ -67,9 +67,9 @@ def _standardize(x, norm):
     return x.astype(np.float32), norm
 
 
-def load_idx(images_path, labels_path, standardize=True, norm=None, split="train"):
-    """Parse an IDX image/label file pair (u8 pixels, big-endian headers)."""
-    with open(images_path, "rb") as fh:
+def load_idx(images, labels, standardize=True, norm=None, split="train"):
+    """Parse an IDX image/label file pair, by path (u8 pixels, big-endian headers)."""
+    with open(images, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16:
         raise DataError("image file too short for IDX header")
@@ -80,7 +80,7 @@ def load_idx(images_path, labels_path, standardize=True, norm=None, split="train
         raise DataError(f"image payload size mismatch for count {n}")
     images = np.frombuffer(blob, dtype=np.uint8, offset=16).reshape(n, 1, rows, cols)
 
-    with open(labels_path, "rb") as fh:
+    with open(labels, "rb") as fh:
         blob = fh.read()
     if len(blob) < 8:
         raise DataError("label file too short for IDX header")
@@ -132,7 +132,7 @@ def synth_blobs(seed, n, dims, classes, spread, clusters_per_class=1,
     """
     if classes < 2:
         raise DataError("need at least 2 classes")
-    if spread <= 0:
+    if not spread > 0:
         raise DataError("spread must be positive")
     if clusters_per_class < 1:
         raise DataError("clusters_per_class must be >= 1")

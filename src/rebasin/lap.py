@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SENSES = ("minimize", "maximize")
+
 
 @dataclass
 class Assignment:
@@ -297,7 +299,7 @@ def _tie_break(work, row_to_col, v):
 
 def solve_lap(cost, sense="minimize"):
     """Optimal assignment of rows to columns of a square cost matrix."""
-    if sense not in ("minimize", "maximize"):
+    if sense not in SENSES:
         raise ValueError(f"sense must be minimize or maximize, got {sense!r}")
     warm = cost if isinstance(cost, _WarmCost) else None
     cost = np.asarray(cost, dtype=np.float64)

@@ -18,6 +18,10 @@ from .model import (POST, PRE, _check_same_arch, _inputs, forward, layer_tensors
 from .ops import DEAD_STD, Moments
 from .probes import l2_distance
 
+MATCHERS = ("weight", "activation")
+STRATEGIES = ("reference", "sequential", "iterative")
+
+
 @dataclass
 class PermSpec:
     perms: dict  # boundary id -> int vector
@@ -364,6 +368,8 @@ def multi_match(models, strategy="reference", matcher="weight", dataset=None,
     """
     if not models:
         raise ValueError("need at least one model")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     for m in models[1:]:
         _check_same_arch(models[0], m)
     n = len(models)
@@ -385,7 +391,7 @@ def multi_match(models, strategy="reference", matcher="weight", dataset=None,
         for i in range(1, n):
             perms[i] = match(ref, models[i])[0]
             ref = apply_perm(models[i], perms[i])
-    elif strategy == "iterative":
+    else:
         rng = np.random.default_rng(seed)
         converged = False
         iterations = 0
@@ -403,8 +409,6 @@ def multi_match(models, strategy="reference", matcher="weight", dataset=None,
             if not changed:
                 converged = True
                 break
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     merged = mean_models([apply_perm(m, p) for m, p in zip(models, perms)])
     merged.meta["merge"] = {"strategy": strategy, "iterations": iterations,

@@ -16,6 +16,7 @@ from .renorm import measure_stats, repair, reset_bn
 
 METHODS = ("magnitude", "diag_fisher")
 GRANULARITIES = ("global", "layerwise")
+POST_PRUNE_MODES = ("reset", "repair")
 
 
 def prunable_keys(model, exempt_first=False):

@@ -2,6 +2,7 @@
 recipes that produce model pairs for merging experiments."""
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -41,12 +42,12 @@ class TrainConfig:
     l2_every: int = 0           # parameter-norm snapshot interval, 0 = off
 
     def __post_init__(self):
-        self.milestones = tuple(int(m) for m in self.milestones)
-        if self.base_lr < 0:
+        self.milestones = tuple(map(operator.index, self.milestones))  # a float raises
+        if not self.base_lr >= 0:
             raise ValueError("base_lr must be non-negative")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be non-negative")
         if self.schedule not in _SCHEDULES:
             raise ValueError(f"schedule must be one of {_SCHEDULES}")
@@ -56,7 +57,7 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.epochs < 0 or self.max_iters < 0 or self.warmup_iters < 0:
             raise ValueError("epochs, max_iters and warmup_iters must be >= 0")
-        if self.decay_factor <= 0:
+        if not self.decay_factor > 0:
             raise ValueError("decay_factor must be positive")
         if any(m < 0 for m in self.milestones):
             raise ValueError("milestones must be non-negative iterations")

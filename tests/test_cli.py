@@ -390,6 +390,89 @@ def test_nan_weight_in_conv1_exits_3_naming_the_layer(tmp_path, capsys, nan_cnn,
     assert "non-finite values in layer conv1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "interp", "probe"])
+def test_data_that_overflow_float32_exit_3(tmp_path, capsys, ckpts, command):
+    """A finite spread whose draws overflow float32 makes NaN input batches."""
+    doc = {"train": {"model": MODEL, "train": TRAIN},
+           "interp": {"checkpoints": ckpts[:2], "grid": "quick"},
+           "probe": {"checkpoint": ckpts[0]}}[command]
+    cfg = write_cfg(tmp_path, dataset={**BLOBS, "spread": 1e39}, **doc)
+    with np.errstate(all="ignore"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert ("training diverged" if command == "train" else
+            "non-finite values in layer dense0") in err
+
+
+# (command, the fields that replace a valid config's, what stderr names)
+_BAD_FIELDS = {
+    "blobs_standardize": ("train", {"dataset": {**BLOBS, "standardize": "no"}},
+                          "standardize must be true or false"),
+    "blobs_seed": ("train", {"dataset": {**BLOBS, "seed": True}}, "seed must be an integer"),
+    "blobs_split": ("train", {"dataset": {**BLOBS, "split": 7}}, "split must be a string"),
+    "blobs_n": ("probe", {"dataset": {**BLOBS, "n": 300.0}}, "n must be an integer"),
+    "blobs_spread": ("interp", {"dataset": {**BLOBS, "spread": "0.5"}},
+                     "spread must be a finite number"),
+    "blobs_spread_nan": ("train", {"dataset": {**BLOBS, "spread": float("nan")}},
+                         "spread must be a finite number"),
+    "test_dataset_kind": ("prune", {"test_dataset": {**BLOBS, "kind": "blob"}},
+                          "unknown test_dataset kind"),
+    "train_shuffle": ("train", {"train": {**TRAIN, "shuffle": "no"}},
+                      "shuffle must be true or false"),
+    "train_batch_size": ("train", {"train": {**TRAIN, "batch_size": True}},
+                         "batch_size must be an integer"),
+    "train_base_lr_nan": ("train", {"train": {**TRAIN, "base_lr": float("nan")}},
+                          "base_lr must be a finite number"),
+    "train_milestones": ("train", {"train": {**TRAIN, "milestones": [1.5]}},
+                         "milestones: milestone must be an integer"),
+    "train_momentum": ("train", {"train": {**TRAIN, "momentum": 1.0}}, "momentum"),
+    "seeds_empty": ("train", {"seeds": []}, "seeds must be a list of 1 or more"),
+    "seeds_repeated": ("train", {"seeds": [1, 1]}, "seeds must be distinct"),
+    "method": ("prune", {"method": "bogus"}, "unknown method 'bogus'"),
+    "repair": ("prune", {"repair": "rescale"}, "unknown repair 'rescale'"),
+    "matcher": ("match", {"matcher": "activations"}, "unknown matcher 'activations'"),
+    "checkpoints": ("match", {"checkpoints": ["a.rbnc"]}, "checkpoints must be a list of 2"),
+    "strategy": ("merge", {"strategy": "voting"}, "unknown strategy 'voting'"),
+    "grid": ("interp", {"grid": "full"}, "unknown grid 'full'"),
+    "interp_mode": ("interp", {"mode": "repair"}, "unknown mode 'repair'"),
+    "sense": ("lap", {"sense": "max"}, "unknown sense 'max'"),
+    "matrix": ("lap", {"matrix": [[1.0, float("inf")], [0.0, 1.0]]},
+               "matrix: row: entry must be a finite number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_FIELDS))
+def test_a_bad_field_exits_2_before_any_work(tmp_path, ckpts, capsys, monkeypatch, case):
+    command, bad, message = _BAD_FIELDS[case]
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+        monkeypatch.setattr(module, name, wrapped)
+    for name in ("load_checkpoint", "train", "eval_curve", "multi_match", "score",
+                 "channel_probe", "solve_lap"):
+        spy(cli, name)
+    for name in ("synth_blobs", "synth_embedded", "load_idx", "load_cifar_bin"):
+        spy(data, name)
+    doc = {"train": {"dataset": BLOBS, "model": MODEL, "train": TRAIN},
+           "match": {"checkpoints": ckpts[:2]},
+           "interp": {"checkpoints": ckpts[:2], "dataset": BLOBS},
+           "merge": {"checkpoints": ckpts},
+           "prune": {"checkpoint": ckpts[0], "dataset": BLOBS},
+           "probe": {"checkpoint": ckpts[0], "dataset": BLOBS},
+           "lap": {"matrix": [[1.0, 2.0], [3.0, 1.0]]}}[command]
+    cfg = write_cfg(tmp_path, **{**doc, **bad})
+    out = tmp_path / "r"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert os.listdir(out / f"{command}-000") == ["config.json"]
+
+
 def test_unknown_subcommand_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["explode", "--out", str(tmp_path / "r")])
@@ -708,3 +791,24 @@ def test_lap_solves_config_matrix(tmp_path):
         cost[np.arange(3), doc["perm"]].sum())
     # brute force: 3x3 optimum is 5 (1 + 2 + 2)
     assert doc["objective"] == pytest.approx(5.0)
+
+
+# ---------------------------------------------------------------- config key reference
+
+def test_readme_lists_every_config_key():
+    """Each key a table reads appears, backquoted, in the README's entry for
+    its command, its dataset kind or the train section."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n### Config keys\n")[1].split("\n## ")[0]
+    entries = {}
+    for entry in section.split("\n- **")[1:]:
+        label, text = entry.split("**", 1)
+        for name in label.split(", "):
+            entries[name] = text
+    tables = {name: table for name, (_, table) in cli._COMMANDS.items()}
+    tables.update({f"{kind} dataset": table for kind, (_, table) in cli._DATASETS.items()})
+    tables["every dataset"] = cli._SLICE
+    tables["train section"] = cli._TRAIN
+    missing = [(name, key) for name, table in tables.items() for key in table
+               if f"`{key}`" not in entries.get(name, "")]
+    assert missing == []

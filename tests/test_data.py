@@ -131,6 +131,8 @@ def test_synth_validations():
         synth_blobs(seed=0, n=10, dims=3, classes=1, spread=1.0)
     with pytest.raises(DataError):
         synth_blobs(seed=0, n=10, dims=3, classes=2, spread=0.0)
+    with pytest.raises(DataError):
+        synth_blobs(seed=0, n=10, dims=3, classes=2, spread=float("nan"))
 
 
 def test_synth_image_shape():

@@ -153,10 +153,17 @@ def test_lr_positive_throughout_run():
     dict(momentum=1.0), dict(momentum=-0.1), dict(weight_decay=-1e-3),
     dict(base_lr=-0.1), dict(schedule="linear"), dict(init="xavier"),
     dict(batch_size=0), dict(epochs=-1), dict(decay_factor=0.0),
+    dict(base_lr=math.nan), dict(weight_decay=math.nan), dict(decay_factor=math.nan),
 ])
 def test_config_validation_rejects(bad):
     with pytest.raises(ValueError):
         quick_config(**bad)
+
+
+def test_config_milestones_are_integers_and_never_truncated():
+    assert quick_config(milestones=[np.int64(3), 5]).milestones == (3, 5)
+    with pytest.raises(TypeError):
+        quick_config(schedule="step", milestones=(1.5,))
 
 
 # ---------------------------------------------------------------- SGD core
