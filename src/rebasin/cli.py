@@ -8,10 +8,12 @@ of keys (_COMMANDS) and checked in full before any checkpoint or data is read.
 Exit codes: 0 success, 2 config/validation trouble, 3 numerical failure.
 """
 import argparse
+import contextvars
 import json
 import math
 import os
 import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -205,31 +207,132 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas():
+    return np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+
+
+def _usable_cores():
+    """The cores this process may run on; os.cpu_count() can exceed a
+    container's share."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _run_env():
     """What a run's bits depend on besides its config: the NumPy and BLAS
-    build, the BLAS thread settings and the CPU count (see README)."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    build, the BLAS thread settings and the CPU counts (see README)."""
+    blas = _blas()
     return {"numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
-            "threads": {var: os.environ.get(var) for var in
-                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-            "cpu_count": os.cpu_count()}
+            "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+            "cpu_count": os.cpu_count(), "usable_cores": _usable_cores()}
+
+
+def _width(tasks):
+    """How many tasks run at once: one per usable core while the BLAS build
+    runs one thread per call, else one. BLAS reads its own variable
+    (OPENBLAS_NUM_THREADS or MKL_NUM_THREADS), else OMP_NUM_THREADS; unset
+    or unparsable counts as many threads, since several multi-threaded BLAS
+    callers at once oversubscribe the cores and could change the bits."""
+    name = (_blas().get("name") or "").lower()
+    own = "OPENBLAS_NUM_THREADS" if "openblas" in name else \
+        "MKL_NUM_THREADS" if "mkl" in name else "OMP_NUM_THREADS"
+    value = os.environ.get(own, os.environ.get("OMP_NUM_THREADS"))
+    try:
+        one = int(value) == 1
+    except (TypeError, ValueError):
+        one = False
+    return min(tasks, _usable_cores()) if one else 1
+
+
+def _in_order(work, write, items, width):
+    """write(item, work(item)) for every item. The calling thread and
+    width - 1 worker threads take items in order and run each under its own
+    copy of the caller's context (np.errstate, for one); each result is
+    written once every earlier one is, so the files are those of a plain
+    loop. An item is taken only while fewer than width taken items are
+    unwritten, and none after a failure; the earliest failed item's
+    exception is raised once every thread has stopped.
+
+    The calling thread works too because a new thread allocates from a fresh
+    malloc arena that cannot reuse what the caller has freed: each worker
+    adds to the peak memory."""
+    context = contextvars.copy_context()
+    ready = threading.Condition()
+    done, failed = {}, {}
+    taken = written = 0
+
+    def loop():
+        nonlocal taken, written
+        while True:
+            with ready:
+                ready.wait_for(lambda: failed or taken == len(items)
+                               or taken < written + width)
+                if failed or taken == len(items):
+                    return
+                i, taken = taken, taken + 1
+            try:
+                result = context.copy().run(work, items[i])
+            except BaseException as e:
+                with ready:
+                    failed[i] = e
+                    ready.notify_all()
+                return
+            with ready:
+                done[i] = result
+                try:
+                    while written in done:
+                        write(items[written], done.pop(written))
+                        written += 1
+                except BaseException as e:
+                    failed[written] = e
+                ready.notify_all()
+
+    workers = [threading.Thread(target=loop) for _ in range(width - 1)]
+    for t in workers:
+        t.start()
+    try:
+        loop()
+    except BaseException:       # interrupted while waiting: no worker takes another
+        with ready:
+            taken = len(items)
+            ready.notify_all()
+        raise
+    finally:
+        for t in workers:
+            t.join()
+    if failed:
+        raise failed[min(failed)]
 
 
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_train(v, run):
     ds, test = _generate(v["dataset"], v["test_dataset"])
+    seeds = [v["train"].seed] if v["seeds"] is None else v["seeds"]
     results = {}
-    for s in [v["train"].seed] if v["seeds"] is None else v["seeds"]:
+
+    def fit(s):
         tc = replace(v["train"], seed=s)
-        model, log = train(init_params(v["model"], tc.init, s), ds, tc, test_ds=test)
+        return train(init_params(v["model"], tc.init, s), ds, tc, test_ds=test)
+
+    def write(s, fitted):
+        model, log = fitted
         save_checkpoint(model, os.path.join(run, f"model-seed{s}.rbnc"))
         log.write_csv(os.path.join(run, f"log-seed{s}.csv"))
         summary = results[str(s)] = log.summary()
         summary["train_acc"] = summary["final_train_acc"]   # None after 0 epochs
         if test is not None:
             summary["test_acc"] = summary["final_test_acc"]
+
+    # seeds train side by side when the cores allow (_width); with one BLAS
+    # thread a seed's arithmetic does not depend on the thread that runs it
+    _in_order(fit, write, seeds, _width(len(seeds)))
     _write_json(os.path.join(run, "result.json"), results)
     return EXIT_OK
 

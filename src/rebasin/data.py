@@ -12,6 +12,7 @@ import numpy as np
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD = 3073
+_NOISE_ROWS = 256   # rows of ambient noise synth_embedded draws at a time
 
 
 class DataError(ValueError):
@@ -178,10 +179,15 @@ def synth_embedded(seed, n, dims, d_eff, classes, spread, clusters_per_class=1,
     emb = rng.normal(0.0, 1.0 / np.sqrt(d_eff), (d_eff, dims)).astype(np.float32)
     x = low.inputs @ emb
     if ambient > 0:
-        x += ambient * rng.normal(0.0, 1.0, (n, dims)).astype(np.float32)
+        # normal() draws element by element, so row blocks give the one-shot
+        # draw's bytes without holding all n x dims float64 draws at once
+        for lo in range(0, n, _NOISE_ROWS):
+            block = x[lo:lo + _NOISE_ROWS]
+            block += ambient * rng.normal(0.0, 1.0, block.shape).astype(np.float32)
     mean = float(x.mean(dtype=np.float64))
     std = max(float(x.std(dtype=np.float64)), 1e-8)
-    x = ((x - mean) / std).astype(np.float32)
+    x -= mean
+    x /= std
     if image_shape is not None:
         if int(np.prod(image_shape)) != dims:
             raise DataError(f"image_shape {image_shape} does not hold {dims} features")

@@ -273,8 +273,10 @@ def streaming_activation_stats(model_a, model_b, dataset, batch_size=256,
     if phase not in (PRE, POST):
         raise ValueError(f"phase must be {PRE!r} or {POST!r}")
     _check_same_arch(model_a, model_b)
-    if dataset.num_batches(batch_size, drop_last=True) < 2:
-        raise ValueError("activation statistics need at least two equal-size batches")
+    batches = dataset.num_batches(batch_size, drop_last=True)
+    if batches < 2:
+        raise ValueError(f"activation statistics need at least two equal-size batches: "
+                         f"{dataset.n} rows at batch_size {batch_size} give {batches}")
     bids = [bid for bid, _ in model_a.boundary_map]
     taps = [(bid, phase) for bid in bids]
     acc = {bid: (Moments(), Moments(), Moments()) for bid in bids}  # a, b, a x b

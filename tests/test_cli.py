@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from rebasin.data import synth_blobs
 from rebasin.model import build_model, mlp_descriptor
 from rebasin.probes import PROBE_COLUMNS, LayerProbe
 from rebasin.renorm import CurveReport
-from rebasin.train import TrainConfig, TrainLog, init_params, train
+from rebasin.train import DivergedError, TrainConfig, TrainLog, init_params, train
 
 from helpers import bits_equal, models_bit_equal, small_cnn_desc
 
@@ -187,6 +188,165 @@ def test_train_seed_flag_overrides_and_lands_in_snapshot(tmp_path):
     assert snap["train"]["seed"] == 7 and snap["seeds"] == [7]
 
 
+def side_by_side(monkeypatch, blas_threads, cores=2):
+    """Every BLAS thread variable set to blas_threads (None unsets them), and
+    cores usable cores."""
+    for var in cli._THREAD_VARS:
+        if blas_threads is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, blas_threads)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+
+
+def record_train(monkeypatch, before=lambda tc: None):
+    """Wraps cli.train; returns the list of (seed, thread, np.geterr()) it
+    appends to as each training starts. before(config) runs first."""
+    seen, real = [], cli.train
+
+    def wrapped(model, ds, tc, test_ds=None):
+        seen.append((tc.seed, threading.current_thread(), np.geterr()))
+        before(tc)
+        return real(model, ds, tc, test_ds=test_ds)
+    monkeypatch.setattr(cli, "train", wrapped)
+    return seen
+
+
+def run_files(run):
+    return {p.name: p.read_bytes() for p in sorted(run.iterdir())}
+
+
+@pytest.mark.parametrize("blas, env, width", [
+    ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "1"}, 2),
+    ("scipy-openblas", {"OMP_NUM_THREADS": "1"}, 2),
+    ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ("mkl-rt", {"MKL_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, 2),
+    ("mkl-rt", {"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ("accelerate", {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, 2),
+    ("scipy-openblas", {}, 1),
+    ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "one"}, 1),
+    ("scipy-openblas", {"OPENBLAS_NUM_THREADS": "0"}, 1),
+])
+def test_train_width_reads_the_blas_builds_own_thread_variable(monkeypatch, blas, env,
+                                                               width):
+    side_by_side(monkeypatch, None, cores=4)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(cli, "_blas", lambda: {"name": blas})
+    assert cli._width(2) == width
+    assert cli._width(8) == (4 if width == 2 else 1)
+
+
+def test_train_seeds_side_by_side_write_the_sequential_bytes(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, dataset={**BLOBS, "hold_out": 64},
+                    test_dataset={**BLOBS, "hold_out": 64, "part": "test"},
+                    model=MODEL, train=TRAIN, seeds=[4, 5, 6])
+    side_by_side(monkeypatch, "1")
+    seen = record_train(monkeypatch)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(s for s, _, _ in seen) == [4, 5, 6]
+    assert any(t is not threading.current_thread() for _, t, _ in seen)
+    monkeypatch.setattr(cli, "_width", lambda tasks: 1)
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    side, plain = run_files(out / "train-000"), run_files(out / "train-001")
+    assert len(side) == 3 * 2 + 3       # checkpoint and log per seed, config, env, result
+    assert side == plain
+
+
+@pytest.mark.parametrize("blas_threads", [None, "2", "one"])
+def test_train_starts_no_worker_thread_unless_blas_runs_one(tmp_path, monkeypatch,
+                                                            blas_threads):
+    cfg = write_cfg(tmp_path, dataset=BLOBS, model=MODEL, train={**TRAIN, "epochs": 1},
+                    seeds=[1, 2, 3])
+    side_by_side(monkeypatch, blas_threads)
+    threads, counts = threading.active_count(), []
+    seen = record_train(monkeypatch, lambda tc: counts.append(threading.active_count()))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    assert [(s, t) for s, t, _ in seen] == [(s, threading.current_thread()) for s in (1, 2, 3)]
+    assert counts == [threads] * 3
+
+
+@pytest.mark.parametrize("third_trains", [True, False])
+def test_train_side_by_side_failure_keeps_the_earlier_seeds_only(tmp_path, monkeypatch,
+                                                                 capsys, third_trains):
+    cfg = write_cfg(tmp_path, dataset=BLOBS, model=MODEL, train={**TRAIN, "epochs": 1},
+                    seeds=[1, 2, 3])
+    side_by_side(monkeypatch, "1")
+    third, failing = threading.Event(), threading.Event()
+
+    def before(tc):
+        if tc.seed == 3:
+            third.set()
+        if tc.seed == 1 and not third_trains:   # seed 1 ends after seed 2 has failed
+            assert failing.wait(30)
+            time.sleep(0.1)
+        if tc.seed == 2:
+            if third_trains:                    # seed 3 is under way when seed 2 fails
+                assert third.wait(30)
+            failing.set()
+            raise DivergedError("seed 2 diverged")
+    seen = record_train(monkeypatch, before)
+    out = tmp_path / "runs"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 3
+    assert "seed 2 diverged" in capsys.readouterr().err
+    # seed 3 trains only if it was taken before the failure, and leaves no file
+    assert sorted(s for s, _, _ in seen) == ([1, 2, 3] if third_trains else [1, 2])
+    assert sorted(os.listdir(out / "train-000")) == ["config.json", "log-seed1.csv",
+                                                     "model-seed1.rbnc"]
+
+
+@pytest.mark.parametrize("fail_from", [None, 50])
+def test_in_order_stress_writes_in_order_within_its_window(fail_from):
+    items, width = list(range(200)), 8                  # more threads than cores
+    started, written, outstanding, raised = [], [], [], []
+
+    def work(i):
+        started.append(i)
+        outstanding.append(len(started) - len(written))
+        np.sort(np.random.default_rng(i).random(2000))  # releases the GIL now and then
+        if fail_from is not None and i >= fail_from and i % 7 == 1:
+            raise ValueError(i)
+        return -i
+
+    def write(i, out):
+        assert out == -i
+        written.append(i)
+
+    def run():
+        try:
+            cli._in_order(work, write, items, width)
+        except ValueError as e:
+            raised.append(e.args[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        t = threading.Thread(target=run)
+        t.start()
+        t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not t.is_alive()
+    assert max(outstanding) <= width
+    if fail_from is None:
+        assert written == items and sorted(started) == items and raised == []
+    else:                       # 50 is the first failing item; later ones may fail too
+        assert written == items[:50] and raised == [50]
+        assert max(started) < 50 + width
+
+
+def test_train_workers_see_the_callers_error_state(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, dataset=BLOBS, model=MODEL, train={**TRAIN, "epochs": 1},
+                    seeds=[1, 2, 3])
+    side_by_side(monkeypatch, "1")
+    seen = record_train(monkeypatch)
+    with np.errstate(all="raise"):
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    assert any(t is not threading.current_thread() for _, t, _ in seen)
+    assert [err for _, _, err in seen] == [dict.fromkeys(np.geterr(), "raise")] * 3
+
+
 def test_failed_json_write_leaves_earlier_file_intact(tmp_path):
     path = tmp_path / "report.json"
     _write_json(path, {"a": 1})
@@ -257,7 +417,9 @@ def test_every_command_records_its_environment(tmp_path, ckpts, monkeypatch, com
                    "blas": {"name": blas.get("name"), "version": blas.get("version")},
                    "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
                                "MKL_NUM_THREADS": None},
-                   "cpu_count": os.cpu_count()}
+                   "cpu_count": os.cpu_count(),
+                   "usable_cores": len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity") else os.cpu_count()}
     # the snapshot stays the config alone, so it still re-runs
     assert json.loads((run / "config.json").read_text()) == doc
     assert main([command, "--config", str(run / "config.json"), "--out", str(out)]) == 0

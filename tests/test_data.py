@@ -232,6 +232,35 @@ def test_embedded_image_shape():
     assert ds.inputs.shape == (50, 1, 16, 16)
 
 
+def _embedded_one_shot(seed, n, dims, d_eff, classes, spread, ambient, image_shape=None):
+    """synth_embedded's inputs and norm, drawn and standardized in one go."""
+    low = synth_blobs(seed=seed, n=n, dims=d_eff, classes=classes, spread=spread,
+                      standardize=False)
+    rng = np.random.default_rng(seed + 9999)
+    emb = rng.normal(0.0, 1.0 / np.sqrt(d_eff), (d_eff, dims)).astype(np.float32)
+    x = low.inputs @ emb
+    if ambient > 0:
+        x += ambient * rng.normal(0.0, 1.0, (n, dims)).astype(np.float32)
+    mean = float(x.mean(dtype=np.float64))
+    std = max(float(x.std(dtype=np.float64)), 1e-8)
+    x = ((x - mean) / std).astype(np.float32)
+    if image_shape is not None:
+        x = x.reshape((n,) + tuple(image_shape))
+    return x, (np.array([mean], dtype=np.float32), np.array([std], dtype=np.float32))
+
+
+@pytest.mark.parametrize("n", [512, 300])          # a multiple of the noise block, and not
+@pytest.mark.parametrize("ambient", [0.0, 0.3])
+@pytest.mark.parametrize("image_shape", [None, (1, 4, 4)])
+def test_embedded_noise_blocks_give_the_one_shot_bytes(n, ambient, image_shape):
+    args = dict(seed=23, n=n, dims=16, d_eff=3, classes=4, spread=0.5, ambient=ambient)
+    ds = synth_embedded(**args, image_shape=image_shape)
+    x, norm = _embedded_one_shot(**args, image_shape=image_shape)
+    assert ds.inputs.dtype == x.dtype and ds.inputs.shape == x.shape
+    assert ds.inputs.tobytes() == x.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ds.norm, norm))
+
+
 def test_hold_out_covers_pool_without_overlap():
     ds = synth_embedded(seed=21, n=120, dims=32, d_eff=4, classes=3, spread=0.5)
     tr, te = hold_out(ds, 40)

@@ -347,6 +347,12 @@ def test_activation_match_needs_two_batches():
         activation_match(a, a, ds, batch_size=64)
 
 
+def test_activation_match_names_the_rows_and_batch_size_it_lacks():
+    a = mlp(30)
+    with pytest.raises(ValueError, match="300 rows at batch_size 256 give 1$"):
+        activation_match(a, a, _dataset_for(7, seed=4, n=300), batch_size=256)
+
+
 # ---------------------------------------------------------------- multi-model merging
 
 def test_multi_match_single_model_unchanged():
