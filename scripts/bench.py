@@ -1,0 +1,304 @@
+"""Time the library's kernels: `solve_lap` against matrix size, and the
+layers, repair, training step, score matrix and curve of the pipeline
+benchmark's nets.
+
+The first line printed is the JSON of `cli._run_env()`: the NumPy and BLAS
+build, the BLAS thread variables, the CPU count and the usable cores. Each
+table after it starts with a `#` line naming its columns, and each of its
+rows with its kind. Every figure is the median of --repeats calls in ms.
+Every input is generated here from a seed, so nothing is downloaded.
+
+LAP, one row per n of --sizes and cost kind: `solve_lap` on one matrix, with
+`scipy.optimize.linear_sum_assignment` alongside when scipy is installed
+(scipy is never a dependency of the library). The kinds are uniform random
+costs, the all-zero cost, a rank-1 cost outer(a, b) of uniform vectors (the
+last two are the degenerate shapes dead units produce), `corr`, a
+correlation cost like the ones `activation_match` maximizes: two ReLU
+activation sets driven by one shared latent, some of whose units never fire
+and get zero rows and columns, and `warm`, that `corr` cost perturbed by 5 %
+relative noise and solved from the column duals the `corr` solve ended at,
+as `weight_match` re-solves a boundary whose cost moved (scipy, which takes
+no duals, solves it cold).
+
+Kernels, one row per batch size of --batches where a table has one. The
+convnet is the `cnn_prune` net of the pipeline benchmark: 1x16x16 inputs,
+conv 16 and conv 32 (3x3, pad 1), each followed by batchnorm, relu and a 2x2
+maxpool, then flatten and a 10-way dense head. Its layer table runs one
+training step on random inputs and labels, layer by layer through the
+model's own layer table: `fwd` is a layer's forward with batch statistics
+(and its backward cache), `bwd` its backward from the gradient the layer
+above passed down, and `fisher` the backward of the diagonal-Fisher pass,
+which sums squared per-sample weight gradients. `dx` and `dw` split a weight
+layer's `bwd` into its input-gradient kernel and its weight-and-bias
+gradient kernel (`fisher`, `dx` and `dw`: weight layers only). The `repair`
+table repairs the same net to its own statistics on 4 random batches:
+`sequential` (one corrected boundary after another) against `single` (one
+measurement pass for all boundaries). The `step` table splits one training
+step of the 784-input MLPs with 3 and 6 hidden layers of 256 into `fwd` (the
+cached forward), `bwd` (loss gradient and backward, without the input
+gradient train skips) and `update` (the momentum step), as `train` runs
+them. The `score` table times one `weight_match` score matrix
+(`_score_matrix`, every term computed from scratch) per boundary of two
+784-input MLPs, 3x256 and 2x512, under random permutations. The `curve`
+table times `eval_curve` over the default 11-point grid between two freshly
+initialized 784-input 3x256 MLPs, on 1200 train and 600 test rows (the
+`pair_tour` sizes of the pipeline benchmark), without re-normalization
+(`none`), with single-pass `repair` and with sequential `repair`.
+
+An empty --sizes skips the LAP table and an empty --batches the kernel
+tables, so either part runs alone.
+
+    python3 scripts/bench.py [--sizes 64 128 256 512 1024] [--batches 32 256 512]
+                             [--repeats 7]
+"""
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from rebasin import ops
+from rebasin.cli import _run_env
+from rebasin.data import Dataset, hold_out, synth_embedded
+from rebasin.lap import solve_lap
+from rebasin.match import _score_matrix, random_perm
+from rebasin.model import (WEIGHT_KINDS, _backward, _forward_cached, _layer_fwd, build_model,
+                           cnn_descriptor, mlp_descriptor, wiring)
+from rebasin.ops import DEAD_STD, softmax_cross_entropy
+from rebasin.renorm import eval_curve, measure_stats, repair
+from rebasin.train import _sgd_update, init_params
+
+try:
+    from scipy.optimize import linear_sum_assignment
+except ImportError:
+    linear_sum_assignment = None
+
+CORR_SAMPLES = 1024
+CORR_DEAD_FRAC = 0.08   # share of each set's units that never fire
+WARM_NOISE = 0.05       # relative change of the warm row's cost
+REPAIR_BATCHES = 4
+STEP_NETS = {"3x256": [256] * 3, "6x256": [256] * 6}
+SCORE_NETS = {"3x256": [256] * 3, "2x512": [512] * 2}
+CURVES = (("none", False), ("repair", False), ("repair", True))
+
+
+def median_ms(fn, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+def show(*cells):
+    """Print one table line: the first cell left-aligned, the others right,
+    floats to two places."""
+    text = [f"{c:.2f}" if isinstance(c, float) else str(c) for c in cells]
+    print(f"{text[0]:<10}" + "".join(f" {t:>10}" for t in text[1:]), flush=True)
+
+
+def mlp(hidden, seed=0):
+    return init_params(build_model(mlp_descriptor(784, hidden, 10)), "kaiming_uniform", seed)
+
+
+# ---------------------------------------------------------------- LAP
+
+def corr_cost(n, rng):
+    """Unit correlations of two ReLU activation sets over CORR_SAMPLES inputs.
+    Both read one shared latent of n // 8 dimensions, so many units
+    correlate with many others; b's input weights are a's, perturbed by
+    noise of the same size and permuted. Dead units (std at most DEAD_STD)
+    get zero rows and columns, as `match.streaming_activation_stats` gives
+    them."""
+    d = max(n // 8, 1)
+    latent = rng.standard_normal((CORR_SAMPLES, d))
+    w_a = rng.standard_normal((d, n)) / np.sqrt(d)
+    w_b = (w_a + rng.standard_normal((d, n)) / np.sqrt(d))[:, rng.permutation(n)]
+    acts = []
+    for w in (w_a, w_b):
+        shift = np.where(rng.random(n) < CORR_DEAD_FRAC, -1e3, 0.0)
+        acts.append(np.maximum(latent @ w + shift, 0.0))
+    a, b = acts
+    std_a, std_b = a.std(axis=0), b.std(axis=0)
+    cov = (a - a.mean(axis=0)).T @ (b - b.mean(axis=0)) / CORR_SAMPLES
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = cov / np.outer(std_a, std_b)
+    corr[std_a <= DEAD_STD, :] = 0.0
+    corr[:, std_b <= DEAD_STD] = 0.0
+    return corr
+
+
+def costs(n, seed=0):
+    """(kind, cost, sense, duals) tuples: duals are the column duals a warm
+    solve starts from, None for a cold one."""
+    rng = np.random.default_rng(seed)
+    yield "random", rng.random((n, n)), "minimize", None
+    yield "zero", np.zeros((n, n)), "minimize", None
+    yield "rank1", np.outer(rng.random(n), rng.random(n)), "minimize", None
+    corr = corr_cost(n, rng)
+    yield "corr", corr, "maximize", None
+    moved = corr * (1.0 + WARM_NOISE * rng.standard_normal((n, n)))
+    yield "warm", moved, "maximize", solve_lap(corr, "maximize").duals
+
+
+def lap_table(sizes, repeats):
+    scipy = linear_sum_assignment is not None
+    show("# lap", "n", "solve_lap", *(["scipy"] if scipy else []))
+    for n in sizes:
+        for kind, cost, sense, duals in costs(n):
+            cells = [median_ms(lambda: solve_lap(cost, sense, duals=duals), repeats)]
+            if scipy:
+                cells.append(median_ms(lambda: linear_sum_assignment(
+                    cost, maximize=sense == "maximize"), repeats))
+            show(kind, n, *cells)
+
+
+# ---------------------------------------------------------------- kernels
+
+def convnet():
+    desc = cnn_descriptor((1, 16, 16), [{"out": c, "k": 3, "pool": 2} for c in (16, 32)], 10)
+    return init_params(build_model(desc), "kaiming_uniform", 0)
+
+
+def split_bwd(spec, p, cache, dy):
+    """(dx, dw) kernel calls of a weight layer's backward, as _backward makes them."""
+    w = p[f"{spec.name}.w"]
+    if spec.kind == "dense":
+        return lambda: ops.dense_dx(w, dy), lambda: ops.dense_wgrad(cache, dy)
+    cols, x_shape = cache
+    return (lambda: ops.conv2d_dx(x_shape, w, dy, spec.stride, spec.pad),
+            lambda: ops.conv2d_wgrad(cols, w.shape, dy))
+
+
+def layer_rows(model, batch, repeats):
+    """(spec, input shape, [fwd, bwd(, fisher, dx, dw)] ms) per layer, in layer order.
+
+    Each backward starts from the gradient the layer above passed down, so
+    it sees the dtypes and the pooling ties of a real training step."""
+    rng = np.random.default_rng(batch)
+    p = model.params
+    x = rng.standard_normal((batch,) + tuple(model.input_shape)).astype(np.float32)
+    rows, caches = [], []
+    for spec in model.layers:
+        def fwd(x=x, spec=spec):
+            return _layer_fwd(spec, p, x, True, False, None)
+        rows.append([spec, x.shape[1:], [median_ms(fwd, repeats)]])
+        x, cache = fwd()
+        caches.append((spec, cache))
+    _, dy = softmax_cross_entropy(x, rng.integers(0, x.shape[1], size=batch))
+    hook = lambda key, sq: None
+    for (spec, cache), row in zip(reversed(caches), reversed(rows)):
+        one = [(spec, cache)]
+        row[2].append(median_ms(lambda: _backward(model, one, dy), repeats))
+        if spec.kind in WEIGHT_KINDS:
+            row[2].append(median_ms(lambda: _backward(model, one, dy, weight_hook=hook),
+                                    repeats))
+            row[2].extend(median_ms(fn, repeats) for fn in split_bwd(spec, p, cache, dy))
+        dy = _backward(model, one, dy)["x"]
+    return rows
+
+
+def repair_ms(model, batch, repeats):
+    """[sequential, single] repair ms on REPAIR_BATCHES random batches."""
+    rng = np.random.default_rng(batch)
+    n = REPAIR_BATCHES * batch
+    ds = Dataset(rng.standard_normal((n,) + tuple(model.input_shape)).astype(np.float32),
+                 np.zeros(n, dtype=np.int64), 10)
+    goals = measure_stats(model, ds, batch_size=batch)
+    return [median_ms(lambda: repair(model, goals, ds, sequential=seq, batch_size=batch),
+                      repeats) for seq in (True, False)]
+
+
+def step_ms(hidden, batch, repeats):
+    """[fwd, bwd, update] ms of one training step of a 784-input MLP."""
+    model = mlp(hidden)
+    rng = np.random.default_rng(batch)
+    x = rng.standard_normal((batch, 784)).astype(np.float32)
+    y = rng.integers(0, 10, size=batch)
+    logits, caches = _forward_cached(model, x)
+
+    def bwd():
+        return _backward(model, caches, softmax_cross_entropy(logits, y)[1],
+                         input_grad=False)
+    grads = bwd()
+    vel = {k: np.zeros_like(g) for k, g in grads.items()}
+    return [median_ms(lambda: _forward_cached(model, x), repeats),
+            median_ms(bwd, repeats),
+            median_ms(lambda: _sgd_update(model.params, vel, grads, 0.01, 0.9, 0.0),
+                      repeats)]
+
+
+def score_rows(hidden, repeats):
+    """(boundary, units, ms) of one _score_matrix call per boundary of a
+    784-input MLP pair, the other boundaries under random permutations."""
+    a, b = mlp(hidden, 0), mlp(hidden, 1)
+    pa = {k: v.astype(np.float64) for k, v in a.params.items()}
+    pb = {k: v.astype(np.float64) for k, v in b.params.items()}
+    wir, perms = wiring(a), random_perm(a, seed=2).perms
+    return [(bid, n, median_ms(lambda: _score_matrix(a.layers, pa, pb, wir, bid, perms),
+                               repeats))
+            for bid, n in a.boundary_map]
+
+
+def curve_rows(repeats):
+    """(mode, sequential, ms) of eval_curve on a 784-input 3x256 MLP pair."""
+    pool = synth_embedded(seed=0, n=1800, dims=784, d_eff=16, classes=10, spread=0.4,
+                          clusters_per_class=8)
+    tr, te = hold_out(pool, 600)
+    a, b = mlp([256] * 3, 0), mlp([256] * 3, 1)
+    return [(mode, seq, median_ms(lambda: eval_curve(a, b, tr, test_ds=te, mode=mode,
+                                                     sequential=seq), repeats))
+            for mode, seq in CURVES]
+
+
+def kernel_tables(batches, repeats):
+    model = convnet()
+    show("# layer", "kind", "input", "batch", "fwd", "bwd", "fisher", "dx", "dw")
+    for batch in batches:
+        totals = [0.0, 0.0]
+        for spec, shape, row in layer_rows(model, batch, repeats):
+            totals = [t + r for t, r in zip(totals, row)]
+            show(spec.name, spec.kind, "x".join(map(str, shape)), batch, *row)
+        show("total", "", "", batch, *totals)
+    show("# repair", "batches", "batch", "sequential", "single")
+    for batch in batches:
+        show("repair", REPAIR_BATCHES, batch, *repair_ms(model, batch, repeats))
+    show("# step", "net", "batch", "fwd", "bwd", "update")
+    for name, hidden in STEP_NETS.items():
+        for batch in batches:
+            show("step", name, batch, *step_ms(hidden, batch, repeats))
+    show("# score", "net", "bound", "units", "ms")
+    for name, hidden in SCORE_NETS.items():
+        for bid, units, ms in score_rows(hidden, repeats):
+            show("score", name, bid, units, ms)
+    show("# curve", "mode", "seq", "ms")
+    for mode, seq, ms in curve_rows(repeats):
+        show("curve", mode, "yes" if seq else "no", ms)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--sizes", type=int, nargs="*", default=[64, 128, 256, 512, 1024])
+    ap.add_argument("--batches", type=int, nargs="*", default=[32, 256, 512])
+    ap.add_argument("--repeats", type=int, default=7)
+    args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+
+    print(json.dumps(_run_env()))
+    print(f"# median of {args.repeats} calls, ms", flush=True)
+    if args.sizes:
+        lap_table(args.sizes, args.repeats)
+    if args.batches:
+        kernel_tables(args.batches, args.repeats)
+
+
+if __name__ == "__main__":
+    main()

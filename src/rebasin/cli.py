@@ -22,7 +22,7 @@ from . import data
 from .checkpoint import _atomic_write, load_checkpoint, save_checkpoint
 from .lap import SENSES, solve_lap
 from .match import MATCHERS, STRATEGIES, _resolve_matcher, apply_perm, multi_match
-from .model import POST, NonFiniteError, build_model
+from .model import POST, build_model
 from .probes import channel_probe
 from .prune import (GRANULARITIES, METHODS, POST_PRUNE_MODES, apply_mask, mask_from_scores,
                     post_prune_repair, score)
@@ -519,8 +519,7 @@ def main(argv=None):
         _write_json(os.path.join(run, "env.json"), _run_env())
         print(run)
         return code
-    except (DivergedError, NonFiniteError, FloatingPointError,
-            np.linalg.LinAlgError) as e:
+    except (DivergedError, ArithmeticError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as e:

@@ -22,9 +22,11 @@ depends on the duals. Such a matching is rejected: the solver's own matching
 is returned instead, which keeps the objective within tol of the optimum but
 leaves that one choice to the solver's path.
 
-A solve can start from the column duals of an earlier one (`_warm_start`),
-which saves most of the work on a slowly changing sequence of costs such as
-weight matching's.
+A solve can start from the column duals an earlier one ended at
+(`solve_lap(cost, duals=...)`, `Assignment.duals`), which saves most of the
+work on a slowly changing sequence of costs such as weight matching's. The
+duals are in the sense the solver minimizes, so one sequence of warm solves
+must keep one sense.
 """
 from dataclasses import dataclass
 
@@ -38,25 +40,7 @@ class Assignment:
     perm: np.ndarray        # perm[i] = column assigned to row i
     objective: float
     sense: str
-
-
-class _WarmCost(np.ndarray):
-    """A cost matrix carrying column duals: `solve_lap` starts from `duals`
-    (None for a cold start) and replaces them with the duals it ends at."""
-    duals = None
-
-
-def _warm_start(cost, duals):
-    """View of cost whose `solve_lap` starts from, and updates, `duals`.
-
-    The duals are in the sense the solver minimizes, so one sequence of warm
-    solves must keep one sense. The duals travel on the cost, not in a new
-    argument or function, so every solve, warm or cold, is a `solve_lap`
-    call, which is what traced benchmark runs count and time.
-    """
-    warm = np.asarray(cost).view(_WarmCost)
-    warm.duals = duals
-    return warm
+    duals: np.ndarray       # column duals the solver ended at, minimized sense
 
 
 def _column_reduction(cost):
@@ -297,21 +281,23 @@ def _tie_break(work, row_to_col, v):
     return perm
 
 
-def solve_lap(cost, sense="minimize"):
-    """Optimal assignment of rows to columns of a square cost matrix."""
+def solve_lap(cost, sense="minimize", duals=None):
+    """Optimal assignment of rows to columns of a square cost matrix, from
+    the column duals of an earlier solve of the same sense when given (the
+    caller's array is not written)."""
     if sense not in SENSES:
         raise ValueError(f"sense must be minimize or maximize, got {sense!r}")
-    warm = cost if isinstance(cost, _WarmCost) else None
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1] or cost.shape[0] == 0:
         raise ValueError(f"cost must be a nonempty square matrix, got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix contains non-finite entries")
+    if duals is not None and (np.shape(duals) != cost.shape[:1]
+                              or not np.all(np.isfinite(duals))):
+        raise ValueError(f"duals must be a finite vector of length {cost.shape[0]}")
 
     work = cost if sense == "minimize" else -cost
-    row_to_col, v = _jv_solve(work, None if warm is None else warm.duals)
-    if warm is not None:
-        warm.duals = v
+    row_to_col, v = _jv_solve(work, duals)
     perm = _tie_break(work, row_to_col, v)
     objective = float(cost[np.arange(cost.shape[0]), perm].sum())
-    return Assignment(perm=perm, objective=objective, sense=sense)
+    return Assignment(perm=perm, objective=objective, sense=sense, duals=v)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lap import _warm_start, solve_lap
+from .lap import solve_lap
 from .model import (POST, PRE, _check_same_arch, _inputs, forward, layer_tensors, stat_key,
                     wiring)
 from .ops import DEAD_STD, Moments
@@ -189,10 +189,10 @@ def weight_match(model_a, model_b, seed=0, max_sweeps=100):
     A boundary's score matrix depends only on its neighbours' permutations, so
     a visit where neither changed since the boundary's last solve would repeat
     that solve exactly and is skipped. Each boundary's solve starts from the
-    column duals its previous solve ended at. The tie-broken result does not
-    depend on those duals, except where two assignments' objectives differ by
-    more than the solver's tightness tolerance and less than n times it
-    (see `lap`).
+    column duals its previous solve ended at (`duals=`, `Assignment.duals`).
+    The tie-broken result does not depend on those duals, except where two
+    assignments' objectives differ by more than the solver's tightness
+    tolerance and less than n times it (see `lap`).
 
     Each score term is one tensor's product (_term). It is computed again
     only when a boundary it reads has changed its permutation; the others
@@ -241,9 +241,8 @@ def weight_match(model_a, model_b, seed=0, max_sweeps=100):
                 report.skipped += 1
                 continue
             solved_at[bid] = at
-            cost = _warm_start(score(bid), duals[bid])
-            res = solve_lap(cost, sense="maximize")
-            duals[bid] = cost.duals
+            res = solve_lap(score(bid), sense="maximize", duals=duals[bid])
+            duals[bid] = res.duals
             report.solves += 1
             if not np.array_equal(res.perm, perms[bid]):
                 perms[bid] = res.perm

@@ -955,6 +955,13 @@ def test_lap_solves_config_matrix(tmp_path):
     assert doc["objective"] == pytest.approx(5.0)
 
 
+def test_lap_whose_reduced_costs_overflow_exits_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, matrix=[[1e308, -1e308], [-1e308, 1e308]])
+    with np.errstate(all="ignore"):
+        assert main(["lap", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+    assert "numerical failure: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- config key reference
 
 def test_readme_lists_every_config_key():

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rebasin import lap
-from rebasin.lap import _lex_min_matching, _tie_break, _warm_start, solve_lap
+from rebasin.lap import _lex_min_matching, _tie_break, solve_lap
 
 
 def _load_corr_cost():
     path = list(sys.path)       # the script prepends src/
     try:
-        script = Path(__file__).resolve().parent.parent / "scripts" / "bench_lap.py"
-        return runpy.run_path(str(script), run_name="bench_lap")["corr_cost"]
+        script = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+        return runpy.run_path(str(script), run_name="bench")["corr_cost"]
     finally:
         sys.path[:] = path
 
@@ -208,16 +208,34 @@ def test_warm_start_matches_cold_solve_and_updates_duals():
     rng = np.random.default_rng(8)
     cost = rng.normal(0.0, 1.0, (40, 40))
     cold = solve_lap(cost, "maximize")
-    warm = _warm_start(cost, None)
-    assert solve_lap(warm, "maximize").perm.tolist() == cold.perm.tolist()
+    warm = solve_lap(cost, "maximize", duals=None)
+    assert warm.perm.tolist() == cold.perm.tolist()
     assert warm.duals.shape == (40,)
+    with mock.patch.object(lap, "_jv_solve", wraps=lap._jv_solve) as jv:
+        solve_lap(cost, "maximize", duals=cold.duals)
+    np.testing.assert_array_equal(jv.call_args.args[1], cold.duals)
     for _ in range(5):
         cost = cost + rng.normal(0.0, 0.05, cost.shape)
         start = warm.duals
-        warm = _warm_start(cost, start)
-        got = solve_lap(warm, "maximize")
-        np.testing.assert_array_equal(got.perm, solve_lap(cost, "maximize").perm)
+        warm = solve_lap(cost, "maximize", duals=start)
+        np.testing.assert_array_equal(warm.perm, solve_lap(cost, "maximize").perm)
         assert warm.duals is not start
+
+
+@pytest.mark.parametrize("duals", [np.zeros(1), np.zeros(5), np.array([0.0, np.nan, 0.0])],
+                         ids=["short", "long", "nan"])
+def test_bad_duals_raise_value_error(duals):
+    with pytest.raises(ValueError, match="duals must be a finite vector of length 3"):
+        solve_lap(np.eye(3), duals=duals)
+
+
+def test_solve_lap_leaves_callers_duals_unwritten():
+    rng = np.random.default_rng(11)
+    cost = rng.normal(0.0, 1.0, (30, 30))
+    duals = solve_lap(cost).duals
+    start = duals.copy()
+    solve_lap(cost + rng.normal(0.0, 0.1, cost.shape), duals=duals)
+    np.testing.assert_array_equal(duals, start)
 
 
 def test_tie_break_rejects_near_optimal_matching_whatever_the_duals():
@@ -314,11 +332,11 @@ def _oracle_solve(cost, sense, duals):
             np.testing.assert_array_equal(got, ref)
         searches.append(i)
 
-    got, ref = _warm_start(cost, duals), _warm_start(cost, duals)
     with mock.patch.object(lap, "_augment", checked):
-        perm = solve_lap(got, sense).perm
+        got = solve_lap(cost, sense, duals=duals)
     with mock.patch.object(lap, "_augment", _augment_reference):
-        np.testing.assert_array_equal(perm, solve_lap(ref, sense).perm)
+        ref = solve_lap(cost, sense, duals=duals)
+    np.testing.assert_array_equal(got.perm, ref.perm)
     np.testing.assert_array_equal(got.duals, ref.duals)
     return got.duals, searches
 

@@ -1,13 +1,16 @@
 """Every script under scripts/ loads: the library names it imports, private
 ones such as model._layer_fwd included, still exist. run_name "smoke" keeps
-each script's main() from running. The two bench scripts also run end to
-end at toy sizes."""
+each script's main() from running. The bench script also runs end to end
+at toy sizes."""
+import json
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from rebasin.cli import _run_env
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 
@@ -19,14 +22,15 @@ def test_script_loads(path, monkeypatch):
     assert callable(names["main"])
 
 
-@pytest.mark.parametrize("script, args, rows", [
-    ("bench_lap", ["--sizes", "8"], ["random", "zero", "rank1", "corr", "warm"]),
-    ("bench_kernels", ["--batches", "2", "--repeats", "1"],
-     ["conv0", "bn0", "total", "repair", "step", "score", "curve"]),
-], ids=["bench_lap", "bench_kernels"])
-def test_bench_script_runs(script, args, rows):
-    path = SCRIPTS[0].parent / f"{script}.py"
-    out = subprocess.run([sys.executable, str(path)] + args, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    firsts = [line.split()[0] for line in out.splitlines()[2:]]
-    assert set(rows) <= set(firsts), out
+ROWS = "random zero rank1 corr warm conv0 bn0 total repair step score curve".split()
+
+
+def test_bench_script_runs():
+    out = subprocess.run([sys.executable, str(SCRIPTS[0].parent / "bench.py"),
+                          "--sizes", "8", "--batches", "2", "--repeats", "1"],
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    lines = out.splitlines()
+    env = json.loads(lines[0])
+    assert env.keys() == _run_env().keys() and env["usable_cores"] >= 1, lines[0]
+    firsts = {line.split()[0] for line in lines[1:] if not line.startswith("#")}
+    assert set(ROWS) <= firsts, out
