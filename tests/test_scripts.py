@@ -1,7 +1,7 @@
 """Every script under scripts/ loads: the library names it imports, private
 ones such as model._layer_fwd included, still exist. run_name "smoke" keeps
 each script's main() from running. The bench script also runs end to end
-at toy sizes."""
+at toy sizes, one part per case."""
 import json
 import runpy
 import subprocess
@@ -22,15 +22,24 @@ def test_script_loads(path, monkeypatch):
     assert callable(names["main"])
 
 
-ROWS = "random zero rank1 corr warm conv0 bn0 total repair step score curve".split()
+# Each case runs one part of bench.py and skips the other with an empty
+# option; between them they expect every row the script prints.
+PARTS = {
+    "bench_lap": (["--sizes", "8", "--batches"], "random zero rank1 corr warm"),
+    "bench_kernels": (["--sizes", "--batches", "2"],
+                      "conv0 bn0 total repair step score curve"),
+}
 
 
-def test_bench_script_runs():
+@pytest.mark.parametrize("part", PARTS)
+def test_bench_script_runs(part):
+    args, rows = PARTS[part]
     out = subprocess.run([sys.executable, str(SCRIPTS[0].parent / "bench.py"),
-                          "--sizes", "8", "--batches", "2", "--repeats", "1"],
+                          *args, "--repeats", "1"],
                          capture_output=True, text=True, timeout=120, check=True).stdout
     lines = out.splitlines()
     env = json.loads(lines[0])
     assert env.keys() == _run_env().keys() and env["usable_cores"] >= 1, lines[0]
     firsts = {line.split()[0] for line in lines[1:] if not line.startswith("#")}
-    assert set(ROWS) <= firsts, out
+    other = next(r for k, (_, r) in PARTS.items() if k != part)
+    assert set(rows.split()) <= firsts and not firsts & set(other.split()), out
