@@ -5,20 +5,27 @@ benchmark's nets.
 The first line printed is the JSON of `cli._run_env()`: the NumPy and BLAS
 build, the BLAS thread variables, the CPU count and the usable cores. Each
 table after it starts with a `#` line naming its columns, and each of its
-rows with its kind. Every figure is the median of --repeats calls in ms.
+rows with its kind. Every time is the median of --repeats calls in ms.
 Every input is generated here from a seed, so nothing is downloaded.
+--json PATH also writes the environment and every table's columns and rows
+to PATH.
 
-LAP, one row per n of --sizes and cost kind: `solve_lap` on one matrix, with
-`scipy.optimize.linear_sum_assignment` alongside when scipy is installed
-(scipy is never a dependency of the library). The kinds are uniform random
-costs, the all-zero cost, a rank-1 cost outer(a, b) of uniform vectors (the
-last two are the degenerate shapes dead units produce), `corr`, a
-correlation cost like the ones `activation_match` maximizes: two ReLU
-activation sets driven by one shared latent, some of whose units never fire
-and get zero rows and columns, and `warm`, that `corr` cost perturbed by 5 %
-relative noise and solved from the column duals the `corr` solve ended at,
-as `weight_match` re-solves a boundary whose cost moved (scipy, which takes
-no duals, solves it cold).
+LAP, one row per n of --sizes and cost kind: how many shortest-path
+searches one `solve_lap` call runs, its time, and the time of
+`scipy.optimize.linear_sum_assignment` when scipy is installed (scipy is
+never a dependency of the library). The kinds are uniform random costs, the
+all-zero cost, a rank-1 cost outer(a, b) of uniform vectors (the last two
+are the degenerate shapes dead units produce), `corr`, a synthetic
+correlation cost: two ReLU activation sets driven by one shared latent, some
+of whose units never fire and get zero rows and columns, `warm`, that `corr`
+cost perturbed by 5 % relative noise and solved from the column duals the
+`corr` solve ended at, as `weight_match` re-solves a boundary whose cost
+moved (scipy, which takes no duals, solves it cold), and `real`, the six
+correlation costs `activation_match` maximizes on a pair shaped like the
+pipeline benchmark's `deep_cli` one: 784-input MLPs with six hidden layers
+of n units, trained here for 9 epochs on 2000 synthetic rows. Its cells are
+sums over the six costs. It runs for n up to REAL_MAX_WIDTH only, as the
+time to train the pair grows as n^2.
 
 Kernels, one row per batch size of --batches where a table has one. The
 convnet is the `cnn_prune` net of the pipeline benchmark: 1x16x16 inputs,
@@ -49,29 +56,32 @@ An empty --sizes skips the LAP table and an empty --batches the kernel
 tables, so either part runs alone.
 
     python3 scripts/bench.py [--sizes 64 128 256 512 1024] [--batches 32 256 512]
-                             [--repeats 7]
+                             [--repeats 7] [--json PATH]
 """
 import argparse
+import dataclasses
 import json
 import os
 import statistics
 import sys
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from rebasin import ops
+from rebasin import lap, ops
 from rebasin.cli import _run_env
 from rebasin.data import Dataset, hold_out, synth_embedded
 from rebasin.lap import solve_lap
-from rebasin.match import _score_matrix, random_perm
+from rebasin.match import _score_matrix, random_perm, streaming_activation_stats
 from rebasin.model import (WEIGHT_KINDS, _backward, _forward_cached, _layer_fwd, build_model,
                            cnn_descriptor, mlp_descriptor, wiring)
 from rebasin.ops import DEAD_STD, softmax_cross_entropy
 from rebasin.renorm import eval_curve, measure_stats, repair
-from rebasin.train import _sgd_update, init_params
+from rebasin.train import TrainConfig, _sgd_update, init_params, train
 
 try:
     from scipy.optimize import linear_sum_assignment
@@ -81,6 +91,10 @@ except ImportError:
 CORR_SAMPLES = 1024
 CORR_DEAD_FRAC = 0.08   # share of each set's units that never fire
 WARM_NOISE = 0.05       # relative change of the warm row's cost
+REAL_MAX_WIDTH = 512
+REAL_SEEDS = (200, 201)
+REAL_TRAIN = TrainConfig(base_lr=0.08, batch_size=64, epochs=9, schedule="cosine",
+                         warmup_iters=40)
 REPAIR_BATCHES = 4
 STEP_NETS = {"3x256": [256] * 3, "6x256": [256] * 6}
 SCORE_NETS = {"3x256": [256] * 3, "2x512": [512] * 2}
@@ -96,11 +110,20 @@ def median_ms(fn, repeats):
     return 1e3 * statistics.median(times)
 
 
-def show(*cells):
-    """Print one table line: the first cell left-aligned, the others right,
-    floats to two places."""
-    text = [f"{c:.2f}" if isinstance(c, float) else str(c) for c in cells]
-    print(f"{text[0]:<10}" + "".join(f" {t:>10}" for t in text[1:]), flush=True)
+class Tables(dict):
+    """The tables printed so far: name -> {"columns": [...], "rows": [...]}."""
+
+    def show(self, *cells):
+        """Print one table line: the first cell left-aligned, the others
+        right, floats to two places. A first cell "# name" opens table
+        `name`; the lines after it are its rows."""
+        text = [f"{c:.2f}" if isinstance(c, float) else str(c) for c in cells]
+        print(f"{text[0]:<10}" + "".join(f" {t:>10}" for t in text[1:]), flush=True)
+        if text[0].startswith("# "):
+            self[text[0][2:]] = {"columns": ["row", *cells[1:]], "rows": []}
+        else:
+            rows = list(self.values())[-1]["rows"]
+            rows.append([round(c, 3) if isinstance(c, float) else c for c in cells])
 
 
 def mlp(hidden, seed=0):
@@ -147,16 +170,42 @@ def costs(n, seed=0):
     yield "warm", moved, "maximize", solve_lap(corr, "maximize").duals
 
 
-def lap_table(sizes, repeats):
-    scipy = linear_sum_assignment is not None
-    show("# lap", "n", "solve_lap", *(["scipy"] if scipy else []))
+def real_costs(n):
+    """The six correlation costs `activation_match` maximizes on a pair of
+    784-input MLPs with six hidden layers of n units, trained as the
+    pipeline benchmark's `deep_cli` workload trains its pair."""
+    pool = synth_embedded(seed=1, n=2600, dims=784, d_eff=16, classes=10, spread=0.3,
+                          clusters_per_class=4)
+    tr, _ = hold_out(pool, 600)
+    a, b = (train(mlp([n] * 6, k), tr, dataclasses.replace(REAL_TRAIN, seed=k))[0]
+            for k in REAL_SEEDS)
+    with warnings.catch_warnings():     # the dead units they report are expected
+        warnings.simplefilter("ignore")
+        stats = streaming_activation_stats(a, b, tr)
+    return [stats[bid]["corr"] for bid, _ in a.boundary_map]
+
+
+def lap_cells(cost, sense, duals, repeats):
+    """[searches, solve_lap ms(, scipy ms)] of one cost."""
+    with mock.patch.object(lap, "_augment", wraps=lap._augment) as search:
+        solve_lap(cost, sense, duals=duals)
+    cells = [search.call_count,
+             median_ms(lambda: solve_lap(cost, sense, duals=duals), repeats)]
+    if linear_sum_assignment is not None:
+        cells.append(median_ms(lambda: linear_sum_assignment(
+            cost, maximize=sense == "maximize"), repeats))
+    return cells
+
+
+def lap_table(out, sizes, repeats):
+    out.show("# lap", "n", "searches", "solve_lap",
+             *(["scipy"] if linear_sum_assignment is not None else []))
     for n in sizes:
         for kind, cost, sense, duals in costs(n):
-            cells = [median_ms(lambda: solve_lap(cost, sense, duals=duals), repeats)]
-            if scipy:
-                cells.append(median_ms(lambda: linear_sum_assignment(
-                    cost, maximize=sense == "maximize"), repeats))
-            show(kind, n, *cells)
+            out.show(kind, n, *lap_cells(cost, sense, duals, repeats))
+        if n <= REAL_MAX_WIDTH:
+            cells = [lap_cells(cost, "maximize", None, repeats) for cost in real_costs(n)]
+            out.show("real", n, *map(sum, zip(*cells)))
 
 
 # ---------------------------------------------------------------- kernels
@@ -257,29 +306,29 @@ def curve_rows(repeats):
             for mode, seq in CURVES]
 
 
-def kernel_tables(batches, repeats):
+def kernel_tables(out, batches, repeats):
     model = convnet()
-    show("# layer", "kind", "input", "batch", "fwd", "bwd", "fisher", "dx", "dw")
+    out.show("# layer", "kind", "input", "batch", "fwd", "bwd", "fisher", "dx", "dw")
     for batch in batches:
         totals = [0.0, 0.0]
         for spec, shape, row in layer_rows(model, batch, repeats):
             totals = [t + r for t, r in zip(totals, row)]
-            show(spec.name, spec.kind, "x".join(map(str, shape)), batch, *row)
-        show("total", "", "", batch, *totals)
-    show("# repair", "batches", "batch", "sequential", "single")
+            out.show(spec.name, spec.kind, "x".join(map(str, shape)), batch, *row)
+        out.show("total", "", "", batch, *totals)
+    out.show("# repair", "batches", "batch", "sequential", "single")
     for batch in batches:
-        show("repair", REPAIR_BATCHES, batch, *repair_ms(model, batch, repeats))
-    show("# step", "net", "batch", "fwd", "bwd", "update")
+        out.show("repair", REPAIR_BATCHES, batch, *repair_ms(model, batch, repeats))
+    out.show("# step", "net", "batch", "fwd", "bwd", "update")
     for name, hidden in STEP_NETS.items():
         for batch in batches:
-            show("step", name, batch, *step_ms(hidden, batch, repeats))
-    show("# score", "net", "bound", "units", "ms")
+            out.show("step", name, batch, *step_ms(hidden, batch, repeats))
+    out.show("# score", "net", "bound", "units", "ms")
     for name, hidden in SCORE_NETS.items():
         for bid, units, ms in score_rows(hidden, repeats):
-            show("score", name, bid, units, ms)
-    show("# curve", "mode", "seq", "ms")
+            out.show("score", name, bid, units, ms)
+    out.show("# curve", "mode", "seq", "ms")
     for mode, seq, ms in curve_rows(repeats):
-        show("curve", mode, "yes" if seq else "no", ms)
+        out.show("curve", mode, "yes" if seq else "no", ms)
 
 
 def main():
@@ -288,16 +337,24 @@ def main():
     ap.add_argument("--sizes", type=int, nargs="*", default=[64, 128, 256, 512, 1024])
     ap.add_argument("--batches", type=int, nargs="*", default=[32, 256, 512])
     ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--json", metavar="PATH",
+                    help="also write the environment and every table to PATH")
     args = ap.parse_args()
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
 
-    print(json.dumps(_run_env()))
+    env = _run_env()
+    print(json.dumps(env))
     print(f"# median of {args.repeats} calls, ms", flush=True)
+    out = Tables()
     if args.sizes:
-        lap_table(args.sizes, args.repeats)
+        lap_table(out, args.sizes, args.repeats)
     if args.batches:
-        kernel_tables(args.batches, args.repeats)
+        kernel_tables(out, args.batches, args.repeats)
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump({"env": env, "repeats": args.repeats, "tables": out}, fh, indent=1)
+            fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -36,6 +36,16 @@ def write_cfg(tmp_path, name="cfg.json", **doc):
     return str(path)
 
 
+def run_cli_process(*argv, check=False):
+    """`python -m rebasin.cli *argv` in a fresh process, with this tree's
+    src/ first on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-m", "rebasin.cli", *argv], env=env,
+                          check=check, capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture(scope="module")
 def ckpts(tmp_path_factory):
     """Three independently trained small MLPs saved as checkpoints."""
@@ -796,13 +806,8 @@ def test_renorm_in_two_processes_writes_identical_bytes(tmp_path, ckpts):
                     test_dataset={**split, "part": "test"}, sequential=True,
                     stats_batch_size=64)
     out = tmp_path / "runs"
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     for _ in range(2):
-        subprocess.run([sys.executable, "-m", "rebasin.cli", "renorm", "--config", cfg,
-                        "--out", str(out)], env=env, check=True, capture_output=True,
-                       timeout=120)
+        run_cli_process("renorm", "--config", cfg, "--out", str(out), check=True)
     runs = [out / d for d in run_dirs(out, "renorm")]
     assert len(runs) == 2
     assert json.loads((runs[0] / "report.json").read_text())["sequential"] is True
@@ -960,6 +965,15 @@ def test_lap_whose_reduced_costs_overflow_exits_3(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["lap", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
     assert "numerical failure: " in capsys.readouterr().err
+
+
+def test_lap_whose_reduced_costs_overflow_prints_only_the_failure(tmp_path):
+    # NumPy's overflow warnings stay inside the solver: stderr is one line
+    cfg = write_cfg(tmp_path, matrix=[[1e308, -1e308], [-1e308, 1e308]])
+    done = run_cli_process("lap", "--config", cfg, "--out", str(tmp_path / "r"))
+    assert done.returncode == 3
+    assert done.stderr.splitlines() == [
+        "numerical failure: assignment solver lost dual feasibility"], done.stderr
 
 
 # ---------------------------------------------------------------- config key reference

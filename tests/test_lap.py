@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rebasin import lap
-from rebasin.lap import _lex_min_matching, _tie_break, solve_lap
+from rebasin.lap import SENSES, _lex_min_matching, _tie_break, solve_lap
 
 
 def _load_corr_cost():
@@ -378,3 +378,76 @@ def test_search_matches_reference_at_width_128(kind):
     cost = _drawn_cost(kind, 128, 0.1, rng)
     cold, warm = _check_cold_then_warm(cost, "maximize" if kind == "corr" else "minimize", rng)
     assert cold > 0 and warm > 0
+
+
+# ------------------------------------------------- auction front end
+
+def _solve(cost, sense, front_end):
+    """A cold solve with the auction front end forced on or off."""
+    with mock.patch.object(lap, "_auction_pays", return_value=front_end):
+        return solve_lap(cost, sense)
+
+
+def _check_front_end(cost, sense):
+    """The front end leaves the perm of the plain path, and the duals it
+    ends at are optimal: with each row's reduced minimum as its dual they
+    are feasible, and every edge of the perm is tight."""
+    fronted = _solve(cost, sense, True)
+    np.testing.assert_array_equal(fronted.perm, _solve(cost, sense, False).perm)
+    assert np.all(np.isfinite(fronted.duals))
+    reduced = (cost if sense == "minimize" else -cost) - fronted.duals
+    slack = reduced[np.arange(len(cost)), fronted.perm] - reduced.min(axis=1)
+    assert slack.max() <= 1e-9 * max(1.0, np.abs(cost).max())
+
+
+def _gate_answers(cost, sense):
+    """What `_auction_pays` answered during one solve."""
+    answers = []
+    real = lap._auction_pays
+
+    def gate(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    with mock.patch.object(lap, "_auction_pays", gate):
+        perm = solve_lap(cost, sense).perm
+    return perm, answers
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["int03", "rank1", "corr"]), n=st.integers(1, 24),
+       dead=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1),
+       sense=st.sampled_from(["minimize", "maximize"]))
+def test_front_end_keeps_the_plain_perm_on_drawn_costs(kind, n, dead, seed, sense):
+    _check_front_end(_drawn_cost(kind, n, dead, np.random.default_rng(seed)), sense)
+
+
+@pytest.mark.parametrize("sense", ["minimize", "maximize"])
+def test_front_end_runs_by_itself_at_width_128(sense):
+    cost = _drawn_cost("rank1", 128, 0.0, np.random.default_rng(12))
+    _, answers = _gate_answers(cost, sense)
+    assert answers == [True]
+    _check_front_end(cost, sense)
+
+
+def test_constant_cost_gives_identity_with_the_front_end():
+    cost = np.full((300, 300), 2.5)
+    perm, answers = _gate_answers(cost, "minimize")
+    np.testing.assert_array_equal(perm, np.arange(300))
+    assert answers == [False]       # no row is live
+    np.testing.assert_array_equal(_solve(cost[:40, :40], "minimize", True).perm, np.arange(40))
+
+
+def test_nan_reduced_costs_raise_arithmetic_error():
+    # finite entries whose reduced costs overflow to NaN inside a search
+    H, B, M = 1.7e308, 1e308, 8e307
+    cost = np.array([[H, H, 0, H, B, M, M],
+                     [M, 1, -H, H, 0, M, H],
+                     [-H, 0, H, M, H, -H, 1],
+                     [H, -B, M, -B, B, H, -B],
+                     [1, 1, -H, 0, H, B, 1],
+                     [1, -B, H, M, 1, 0, B],
+                     [1, B, H, M, B, 0, B]])
+    for sense in SENSES:
+        with pytest.raises(ArithmeticError):
+            solve_lap(cost, sense)

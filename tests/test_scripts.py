@@ -1,7 +1,7 @@
 """Every script under scripts/ loads: the library names it imports, private
 ones such as model._layer_fwd included, still exist. run_name "smoke" keeps
 each script's main() from running. The bench script also runs end to end
-at toy sizes, one part per case."""
+at toy sizes, one part per case, and writes what it prints as JSON."""
 import json
 import runpy
 import subprocess
@@ -25,17 +25,18 @@ def test_script_loads(path, monkeypatch):
 # Each case runs one part of bench.py and skips the other with an empty
 # option; between them they expect every row the script prints.
 PARTS = {
-    "bench_lap": (["--sizes", "8", "--batches"], "random zero rank1 corr warm"),
+    "bench_lap": (["--sizes", "8", "--batches"], "random zero rank1 corr warm real"),
     "bench_kernels": (["--sizes", "--batches", "2"],
                       "conv0 bn0 total repair step score curve"),
 }
 
 
 @pytest.mark.parametrize("part", PARTS)
-def test_bench_script_runs(part):
+def test_bench_script_runs(part, tmp_path):
     args, rows = PARTS[part]
+    path = tmp_path / "bench.json"
     out = subprocess.run([sys.executable, str(SCRIPTS[0].parent / "bench.py"),
-                          *args, "--repeats", "1"],
+                          *args, "--repeats", "1", "--json", str(path)],
                          capture_output=True, text=True, timeout=120, check=True).stdout
     lines = out.splitlines()
     env = json.loads(lines[0])
@@ -43,3 +44,9 @@ def test_bench_script_runs(part):
     firsts = {line.split()[0] for line in lines[1:] if not line.startswith("#")}
     other = next(r for k, (_, r) in PARTS.items() if k != part)
     assert set(rows.split()) <= firsts and not firsts & set(other.split()), out
+    # the JSON holds the same environment and one entry per printed row
+    doc = json.loads(path.read_text())
+    assert doc["env"] == env and doc["repeats"] == 1
+    tables = doc["tables"].values()
+    assert sum(len(t["rows"]) for t in tables) == len(lines) - 2 - len(tables), out
+    assert {r[0] for t in tables for r in t["rows"]} == firsts
