@@ -3,7 +3,9 @@ layers, repair, training step, score matrix and curve of the pipeline
 benchmark's nets.
 
 The first line printed is the JSON of `cli._run_env()`: the NumPy and BLAS
-build, the BLAS thread variables, the CPU count and the usable cores. Each
+build, the BLAS thread variables, the CPU count and the usable cores. BLAS
+runs one thread, as in the pipeline benchmark, unless one of
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is set. Each
 table after it starts with a `#` line naming its columns, and each of its
 rows with its kind. Every time is the median of --repeats calls in ms.
 Every input is generated here from a seed, so nothing is downloaded.
@@ -40,11 +42,14 @@ layer's `bwd` into its input-gradient kernel and its weight-and-bias
 gradient kernel (`fisher`, `dx` and `dw`: weight layers only). The `repair`
 table repairs the same net to its own statistics on 4 random batches:
 `sequential` (one corrected boundary after another) against `single` (one
-measurement pass for all boundaries). The `step` table splits one training
-step of the 784-input MLPs with 3 and 6 hidden layers of 256 into `fwd` (the
-cached forward), `bwd` (loss gradient and backward, without the input
-gradient train skips) and `update` (the momentum step), as `train` runs
-them. The `score` table times one `weight_match` score matrix
+measurement pass for all boundaries). The `probe` table times
+`channel_probe` on the same 4 random batches, of the convnet and of a
+784-input 3x256 MLP: `rows` reads the activation rows only, `fisher` adds
+the diagonal-Fisher means in the same pass. The `step` table splits one
+training step of the 784-input MLPs with 3 and 6 hidden layers of 256 into
+`fwd` (the cached forward), `bwd` (loss gradient and backward, without the
+input gradient train skips) and `update` (the momentum step), as `train`
+runs them. The `score` table times one `weight_match` score matrix
 (`_score_matrix`, every term computed from scratch) per boundary of two
 784-input MLPs, 3x256 and 2x512, under random permutations. The `curve`
 table times `eval_curve` over the default 11-point grid between two freshly
@@ -68,6 +73,14 @@ import time
 import warnings
 from unittest import mock
 
+# One BLAS thread unless the caller sets a thread count, set before NumPy
+# loads: a multi-threaded BLAS on a small product can take 100 times longer
+# than one thread. The first line printed records the values used. Only a
+# run as a script sets them, so importing this file changes no environment.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__" and not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -80,6 +93,7 @@ from rebasin.match import _score_matrix, random_perm, streaming_activation_stats
 from rebasin.model import (WEIGHT_KINDS, _backward, _forward_cached, _layer_fwd, build_model,
                            cnn_descriptor, mlp_descriptor, wiring)
 from rebasin.ops import DEAD_STD, softmax_cross_entropy
+from rebasin.probes import channel_probe
 from rebasin.renorm import eval_curve, measure_stats, repair
 from rebasin.train import TrainConfig, _sgd_update, init_params, train
 
@@ -253,15 +267,27 @@ def layer_rows(model, batch, repeats):
     return rows
 
 
-def repair_ms(model, batch, repeats):
-    """[sequential, single] repair ms on REPAIR_BATCHES random batches."""
+def random_batches(model, batch):
+    """REPAIR_BATCHES batches of random inputs and labels for model."""
     rng = np.random.default_rng(batch)
     n = REPAIR_BATCHES * batch
-    ds = Dataset(rng.standard_normal((n,) + tuple(model.input_shape)).astype(np.float32),
-                 np.zeros(n, dtype=np.int64), 10)
+    return Dataset(rng.standard_normal((n,) + tuple(model.input_shape)).astype(np.float32),
+                   rng.integers(0, 10, size=n), 10)
+
+
+def repair_ms(model, batch, repeats):
+    """[sequential, single] repair ms on REPAIR_BATCHES random batches."""
+    ds = random_batches(model, batch)
     goals = measure_stats(model, ds, batch_size=batch)
     return [median_ms(lambda: repair(model, goals, ds, sequential=seq, batch_size=batch),
                       repeats) for seq in (True, False)]
+
+
+def probe_ms(model, batch, repeats):
+    """[rows only, with Fisher] channel_probe ms on REPAIR_BATCHES random batches."""
+    ds = random_batches(model, batch)
+    return [median_ms(lambda: channel_probe(model, ds, batch_size=batch, with_fisher=fisher),
+                      repeats) for fisher in (False, True)]
 
 
 def step_ms(hidden, batch, repeats):
@@ -318,6 +344,10 @@ def kernel_tables(out, batches, repeats):
     out.show("# repair", "batches", "batch", "sequential", "single")
     for batch in batches:
         out.show("repair", REPAIR_BATCHES, batch, *repair_ms(model, batch, repeats))
+    out.show("# probe", "net", "batch", "rows", "fisher")
+    for name, net in (("convnet", model), ("3x256", mlp([256] * 3))):
+        for batch in batches:
+            out.show("probe", name, batch, *probe_ms(net, batch, repeats))
     out.show("# step", "net", "batch", "fwd", "bwd", "update")
     for name, hidden in STEP_NETS.items():
         for batch in batches:

@@ -416,6 +416,8 @@ def _cmd_probe(v, run):
 
 def _cmd_lap(v, run):
     res = solve_lap(np.asarray(v["matrix"], dtype=np.float64), sense=v["sense"])
+    if not np.isfinite(res.objective):
+        raise ArithmeticError(f"assignment objective overflows float64 ({res.objective})")
     _write_json(os.path.join(run, "assignment.json"),
                 {"perm": [int(i) for i in res.perm],
                  "objective": res.objective, "sense": res.sense})

@@ -403,9 +403,10 @@ def solve_lap(cost, sense="minimize", duals=None):
 
     work = cost if sense == "minimize" else -cost
     # reduced costs of finite entries near the float limit can overflow;
-    # _tie_break's feasibility check reports that as an ArithmeticError
+    # _tie_break's feasibility check reports that as an ArithmeticError, and
+    # an objective that overflows is returned as inf
     with np.errstate(over="ignore", invalid="ignore"):
         row_to_col, v = _jv_solve(work, duals)
         perm = _tie_break(work, row_to_col, v)
-    objective = float(cost[np.arange(cost.shape[0]), perm].sum())
+        objective = float(cost[np.arange(cost.shape[0]), perm].sum())
     return Assignment(perm=perm, objective=objective, sense=sense, duals=v)

@@ -445,7 +445,7 @@ def _update_tracked(params, bid, value):
 
 
 def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
-          collect_norm_stats=None, start=0, stop=None):
+          collect_norm_stats=None, start=0, stop=None, check=None):
     """The one layer loop: returns (output, {(bid, phase): tapped value}).
 
     start and stop walk layers [start, stop) only (default: all of them): x
@@ -457,9 +457,10 @@ def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
     update_stats moves the running statistics of layers on batch statistics
     and, with track, any tracked boundary statistics. With a caches list,
     each layer's backward cache is appended to it. Without one (an eval pass)
-    no cache outlives its layer, and every layer output is checked for
-    non-finite values; training leaves that to its loss check, so divergence
-    is reported with the iteration.
+    no cache outlives its layer. check has every layer output checked for
+    non-finite values; by default an eval pass checks and a walk with caches
+    does not: training leaves that to its loss check, so divergence is
+    reported with the iteration.
 
     An eval pass also lets a relu, batchnorm or channel_affine layer write
     its output into its input when the walk itself made that input, as the
@@ -468,6 +469,8 @@ def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
     activations, a tapped value or a parameter.
     """
     p = model.params
+    if check is None:
+        check = caches is None
     tracked = update_stats and track and any(k.startswith("stats.") for k in p)
     at = {}   # layer index -> [(bid, phase)] to tap or track there
     if taps or tracked:
@@ -486,9 +489,10 @@ def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
         use_batch = spec.batch_stats_in_eval if batch_stats is None else batch_stats
         cur, cache = _layer_fwd(spec, p, cur, use_batch, update_stats,
                                 collect_norm_stats, inplace=own)
+        if check:
+            _check_finite(spec.name, cur)
         if caches is None:
             del cache   # conv cols are large; an eval pass drops them at once
-            _check_finite(spec.name, cur)
             own = own or spec.kind != "flatten"
         else:
             caches.append((spec, cache))
@@ -602,7 +606,8 @@ def _backward(model, caches, dy, weight_hook=None, input_grad=True):
     weight_hook(key, sq), when given, stands in for the dense/conv weight and
     bias gradients: it receives each weight's float64 sum over samples of
     squared per-sample gradients. That is exact only when every layer acts
-    per sample (batchnorm on running statistics).
+    per sample (batchnorm on running statistics). No other gradient is
+    computed then: the norm and affine layers pass dy down and nothing more.
 
     With input_grad false the walk ends once the lowest layer holding
     gradients has them, so no gradient flows below it and "x" is absent;
@@ -649,12 +654,14 @@ def _backward(model, caches, dy, weight_hook=None, input_grad=True):
             dy = dy.reshape(cache)
         elif kind in ("batchnorm", "layernorm"):
             bwd = ops.batchnorm_bwd if kind == "batchnorm" else ops.layernorm_bwd
-            dy, dgamma, dbeta = bwd(cache, dy)
-            if f"{name}.gamma" in p:
+            dy, dgamma, dbeta = bwd(cache, dy, not weight_hook)
+            if dgamma is not None:
                 grads[f"{name}.gamma"], grads[f"{name}.beta"] = dgamma, dbeta
         else:  # channel_affine
-            dy, grads[f"{name}.scale"], grads[f"{name}.shift"] = \
-                ops.channel_affine_bwd(cache, p[f"{name}.scale"], dy)
+            dy, dscale, dshift = ops.channel_affine_bwd(cache, p[f"{name}.scale"], dy,
+                                                        not weight_hook)
+            if dscale is not None:
+                grads[f"{name}.scale"], grads[f"{name}.shift"] = dscale, dshift
         if kind in WEIGHT_KINDS and not weight_hook and f"{name}.b" in p:
             grads[f"{name}.b"] = db
     if input_grad:

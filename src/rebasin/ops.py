@@ -166,16 +166,34 @@ def conv2d_bwd(cols, x_shape, w, dy, stride, pad):
     return (conv2d_dx(x_shape, w, dy, stride, pad),) + conv2d_wgrad(cols, w.shape, dy)
 
 
+SQ_GRAD_BLOCK = 16   # samples per block of conv2d_sq_grad
+
+
 def conv2d_sq_grad(cols, w_shape, dy):
     """Sum over samples of the squared per-sample weight gradient, in float64.
 
     The per-sample gradients g = dy (Cout, Ho*Wo) @ patches.T (Ho*Wo, C*k*k)
-    come from one C-ordered float64 copy of the transposed patches, and g is
-    squared in place."""
+    are formed SQ_GRAD_BLOCK samples at a time, each block from a C-ordered
+    float64 copy of its transposed patches, and squared in place. Each block
+    is summed below the running sum, in one reduction over the sample axis,
+    so the samples add in order, as one reduction over the whole batch adds
+    them: the bits do not depend on the block size."""
     n, cout = dy.shape[:2]
-    g = dy.reshape(n, cout, -1).astype(np.float64) @ \
-        cols.transpose(0, 2, 1).astype(np.float64, order="C")      # (N, Cout, C*k*k)
-    return np.square(g, out=g).sum(axis=0).reshape(w_shape)
+    dy = dy.reshape(n, cout, -1)
+    buf = np.empty((min(n, SQ_GRAD_BLOCK) + 1, cout, cols.shape[1]), dtype=np.float64)
+    total = None
+    for lo in range(0, n, SQ_GRAD_BLOCK):
+        hi = min(n, lo + SQ_GRAD_BLOCK)
+        g = buf[1:1 + hi - lo]
+        np.matmul(dy[lo:hi].astype(np.float64),
+                  cols[lo:hi].transpose(0, 2, 1).astype(np.float64, order="C"), out=g)
+        np.square(g, out=g)
+        if total is None:
+            total = g.sum(axis=0)
+        else:
+            buf[0] = total
+            total = buf[:1 + hi - lo].sum(axis=0)
+    return total.reshape(w_shape)
 
 
 # ---------------------------------------------------------------- relu / pool / flatten
@@ -276,25 +294,27 @@ def batchnorm_fwd(x, gamma, beta, mean, var, eps, use_batch, inplace=False):
     return y, cache, bm, var_unbiased
 
 
-def batchnorm_bwd(cache, dy):
+def batchnorm_bwd(cache, dy, param_grads=True):
     """(dx, dgamma, dbeta), with g = dy * gamma (dy without an affine):
     dx = inv * ((g - mean(g)) - xhat * mean(g * xhat)) on batch statistics,
     g * inv on running ones. dx is built in g's buffer, the products in one
-    scratch buffer."""
+    scratch buffer. Without param_grads, dgamma and dbeta are None and not
+    computed; dx keeps its bits."""
     xhat, inv, gamma, axes, use_batch = cache
     ndim = dy.ndim
     inv = chanview(inv, ndim)
-    dgamma = dbeta = None
+    dgamma = dbeta = tmp = None
     g = dy      # without an affine g is dy, which is not this op's to overwrite
     if gamma is not None:
-        tmp = dy * xhat
-        dgamma, dbeta = tmp.sum(axis=axes), dy.sum(axis=axes)
+        if param_grads:
+            tmp = dy * xhat
+            dgamma, dbeta = tmp.sum(axis=axes), dy.sum(axis=axes)
         g = dy * chanview(gamma, ndim)
     if not use_batch:
         return (g * inv if g is dy else _into(np.multiply, g, inv)), dgamma, dbeta
     # a Python int: a NumPy int64 would promote float32 dy to float64
     m = int(np.prod([dy.shape[a] for a in axes]))
-    tmp = g * xhat if g is dy else _into(np.multiply, g, xhat, out=tmp)
+    tmp = g * xhat if tmp is None else _into(np.multiply, g, xhat, out=tmp)
     gx_mean = chanview(tmp.sum(axis=axes) / m, ndim)
     g_mean = chanview(g.sum(axis=axes) / m, ndim)
     dx = g - g_mean if g is dy else _into(np.subtract, g, g_mean)
@@ -314,16 +334,17 @@ def layernorm_fwd(x, gamma, beta, eps):
     return y, (xhat, inv, gamma, axes)
 
 
-def layernorm_bwd(cache, dy):
+def layernorm_bwd(cache, dy, param_grads=True):
+    """(dx, dgamma, dbeta); without param_grads dgamma and dbeta are None."""
     xhat, inv, gamma, axes = cache
+    dgamma = dbeta = None
+    g = dy
     if gamma is not None:
-        red = (0,) if dy.ndim == 2 else (0, 2, 3)
-        dgamma = (dy * xhat).sum(axis=red)
-        dbeta = dy.sum(axis=red)
+        if param_grads:
+            red = (0,) if dy.ndim == 2 else (0, 2, 3)
+            dgamma = (dy * xhat).sum(axis=red)
+            dbeta = dy.sum(axis=red)
         g = dy * chanview(gamma, dy.ndim)
-    else:
-        dgamma = dbeta = None
-        g = dy
     dx = inv * (g - g.mean(axis=axes, keepdims=True)
                 - xhat * (g * xhat).mean(axis=axes, keepdims=True))
     return dx, dgamma, dbeta
@@ -335,9 +356,12 @@ def channel_affine_fwd(x, scale, shift, inplace=False):
     return _into(np.add, y, chanview(shift, x.ndim))
 
 
-def channel_affine_bwd(x, scale, dy):
-    red = (0,) if dy.ndim == 2 else (0, 2, 3)
+def channel_affine_bwd(x, scale, dy, param_grads=True):
+    """(dx, dscale, dshift); without param_grads dscale and dshift are None."""
     dx = dy * chanview(scale, dy.ndim)
+    if not param_grads:
+        return dx, None, None
+    red = (0,) if dy.ndim == 2 else (0, 2, 3)
     dscale = (dy * x).sum(axis=red)
     dshift = dy.sum(axis=red)
     return dx, dscale, dshift

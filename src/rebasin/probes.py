@@ -1,6 +1,7 @@
 """Measurement probes over models and model pairs.
 
-channel_probe reads per-boundary activation scale in one streaming pass;
+channel_probe reads per-boundary activation scale, and optionally the mean
+diagonal Fisher information of each weight tensor, in one streaming pass;
 retrain_probe clocks how many mini-batches a model needs to hit a train
 accuracy target. Every probe leaves its model untouched.
 """
@@ -71,8 +72,13 @@ def channel_probe(model, dataset, batch_size=256, max_batches=None,
     after the boundary's post chain. with_fisher adds the mean diagonal
     Fisher information of every conv/dense weight tensor.
 
-    Both halves read the same rows: the first max_batches full batches, a
-    final short batch dropped. batch_count counts them.
+    The probe reads the first max_batches full batches, a final short batch
+    dropped, in one pass; batch_count counts them. With with_fisher, each
+    batch's Fisher walk (batchnorm on running statistics) also yields the
+    activation rows, which are then the eval walk's values. A model with a
+    layer on batch statistics in eval (renorm.data_independent_correct adds
+    them) has its rows read by an eval walk of the same batch instead, as
+    has every batch without with_fisher.
     """
     wir = wiring(model)
     taps = [(b.bid, ph) for b in wir.values() for ph in (PRE, POST)]
@@ -80,17 +86,30 @@ def channel_probe(model, dataset, batch_size=256, max_batches=None,
     moments = {tap: Moments() for tap in taps}
     zeros = {bid: 0 for bid in wir}
     batch_count = 0
-    for _, xb, _ in _inputs(dataset, batch_size, drop_last=True,
-                            max_batches=max_batches):
-        _, tap_list = forward(model, xb, taps=taps, mode="eval")
-        for tap in tap_list:
-            v = tap.value.astype(np.float64).reshape(-1)  # one pooled column
-            key = (tap.boundary_id, tap.phase)
-            abs_sums[key] += np.abs(v).sum()
-            moments[key].add(v)
-            if tap.phase == POST:
-                zeros[tap.boundary_id] += int((v == 0).sum())
+
+    def add(xb, captured):
+        nonlocal batch_count
+        if captured is None:
+            _, tap_list = forward(model, xb, taps=taps, mode="eval")
+            captured = {(t.boundary_id, t.phase): t.value for t in tap_list}
+        for (bid, phase), value in captured.items():
+            v = value.astype(np.float64).reshape(-1)  # one pooled column
+            abs_sums[bid, phase] += np.abs(v).sum()
+            moments[bid, phase].add(v)
+            if phase == POST:
+                zeros[bid] += int((v == 0).sum())
         batch_count += 1
+
+    fisher = {}
+    if with_fisher:
+        eval_equal = not any(s.batch_stats_in_eval for s in model.layers)
+        raw = _diag_fisher(model, prunable_keys(model), dataset, batch_size, max_batches,
+                           drop_last=True, taps=taps if eval_equal else None, on_batch=add)
+        fisher = {k: float(v.mean()) for k, v in raw.items()}
+    else:
+        for _, xb, _ in _inputs(dataset, batch_size, drop_last=True,
+                                max_batches=max_batches):
+            add(xb, None)
 
     rows = {}
     for bid, bnd in wir.items():
@@ -105,11 +124,6 @@ def channel_probe(model, dataset, batch_size=256, max_batches=None,
             "zero_frac": zeros[bid] / n,
             "weight_scale": float(np.abs(w.astype(np.float64)).mean()),
         }
-    fisher = {}
-    if with_fisher:
-        raw = _diag_fisher(model, prunable_keys(model), dataset, batch_size,
-                           max_batches, drop_last=True)
-        fisher = {k: float(v.mean()) for k, v in raw.items()}
     return LayerProbe(rows=rows, fisher=fisher, batch_count=batch_count)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import WEIGHT_KINDS, _backward, _check_same_arch, _forward_cached, _inputs
+from .model import WEIGHT_KINDS, _backward, _check_batch, _check_same_arch, _inputs, _walk
 from .renorm import measure_stats, repair, reset_bn
 
 METHODS = ("magnitude", "diag_fisher")
@@ -86,10 +86,18 @@ class PruneMask:
 
 # ---------------------------------------------------------------- scoring
 
-def _diag_fisher(model, keys, dataset, batch_size, max_batches, drop_last=False):
+def _diag_fisher(model, keys, dataset, batch_size, max_batches, drop_last=False,
+                 taps=None, on_batch=None):
     """Mean over the rows read of each key's squared per-sample loss gradient.
-    drop_last drops a final short batch, as channel_probe's activation pass
-    does; scoring reads every row."""
+    drop_last drops a final short batch, as channel_probe does; scoring reads
+    every row.
+
+    Each batch takes one cached walk, with batchnorm on running statistics,
+    and one backward. With taps, that walk also captures those boundary
+    outputs and checks the batch and every layer's output as an eval walk
+    does. on_batch(xb, captured), when given, sees each input batch and its
+    captured outputs ({(bid, phase): value}; None without taps) between the
+    walk and the backward. channel_probe reads its rows this way."""
     acc = {k: np.zeros(model.params[k].shape, dtype=np.float64) for k in keys}
 
     def add_sq_grads(key, sq):
@@ -99,9 +107,15 @@ def _diag_fisher(model, keys, dataset, batch_size, max_batches, drop_last=False)
     seen = 0
     for _, xb, yb in _inputs(dataset, batch_size, drop_last=drop_last,
                              max_batches=max_batches):
+        caches = []
+        if taps is not None:
+            xb = _check_batch(model, xb)
         # batchnorm on running statistics keeps the samples independent
-        logits, caches = _forward_cached(model, xb, update_stats=False,
-                                         bn_batch_stats=False)
+        logits, captured = _walk(model, xb, batch_stats=False, update_stats=False,
+                                 track=False, taps=taps or (), caches=caches,
+                                 check=taps is not None)
+        if on_batch is not None:
+            on_batch(xb, None if taps is None else captured)
         # d(per-sample loss)/dlogits = softmax - onehot, one row per sample
         z = logits.astype(np.float64)
         z -= z.max(axis=1, keepdims=True)

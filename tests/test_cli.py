@@ -976,6 +976,17 @@ def test_lap_whose_reduced_costs_overflow_prints_only_the_failure(tmp_path):
         "numerical failure: assignment solver lost dual feasibility"], done.stderr
 
 
+def test_lap_whose_objective_overflows_exits_3(tmp_path):
+    # the optimum's sum of finite costs is inf, which strict JSON cannot hold:
+    # one failure line, no NumPy warning and no assignment.json
+    cfg = write_cfg(tmp_path, matrix=[[1.7e308] * 3] * 3)
+    done = run_cli_process("lap", "--config", cfg, "--out", str(tmp_path / "r"))
+    assert done.returncode == 3
+    assert done.stderr.splitlines() == [
+        "numerical failure: assignment objective overflows float64 (inf)"], done.stderr
+    assert not list((tmp_path / "r").glob("*/assignment.json"))
+
+
 # ---------------------------------------------------------------- config key reference
 
 def test_readme_lists_every_config_key():

@@ -673,6 +673,46 @@ def test_conv_sq_grad_matches_per_sample_loop():
     np.testing.assert_allclose(got.reshape(4, -1), want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("n", [1, ops.SQ_GRAD_BLOCK - 3, 2 * ops.SQ_GRAD_BLOCK + 5])
+def test_conv_sq_grad_blocks_are_bitwise_the_whole_batch(n):
+    # conv1's shape in the pipeline benchmark's convnet; the samples add in
+    # order whatever the block size, as one reduction over the batch adds them
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, 16, 8, 8)).astype(np.float32)
+    cols, (ho, wo) = ops.im2col(x, 3, 1, 1)
+    dy = rng.standard_normal((n, 32, ho, wo)).astype(np.float32)
+    g = dy.reshape(n, 32, -1).astype(np.float64) @ \
+        cols.transpose(0, 2, 1).astype(np.float64, order="C")
+    want = (g ** 2).sum(axis=0).reshape(32, 16, 3, 3)
+    assert bits_equal(ops.conv2d_sq_grad(cols, (32, 16, 3, 3), dy), want)
+
+
+@pytest.mark.parametrize("kind", ["batchnorm_running", "batchnorm_batch", "layernorm",
+                                  "channel_affine"])
+def test_norm_backward_without_param_grads_keeps_dx(kind):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((6, 3, 4, 4)).astype(np.float32)
+    dy = rng.standard_normal(x.shape).astype(np.float32)
+    gamma, beta = np.float32([0.5, 1.5, 2.0]), np.float32([0.1, -0.2, 0.3])
+    if kind == "channel_affine":
+        def bwd(flag):
+            return ops.channel_affine_bwd(x, gamma, dy.copy(), flag)
+    else:
+        if kind == "layernorm":
+            _, cache = ops.layernorm_fwd(x, gamma, beta, 1e-5)
+        else:
+            _, cache, *_ = ops.batchnorm_fwd(x, gamma, beta, np.zeros(3, np.float32),
+                                             np.ones(3, np.float32), 1e-5,
+                                             kind == "batchnorm_batch")
+        op = ops.layernorm_bwd if kind == "layernorm" else ops.batchnorm_bwd
+
+        def bwd(flag):
+            return op(cache, dy.copy(), flag)
+    full, dx_only = bwd(True), bwd(False)
+    assert bits_equal(dx_only[0], full[0])
+    assert dx_only[1:] == (None, None) and all(g is not None for g in full[1:])
+
+
 @pytest.mark.parametrize("shape", [(16, 5), (8, 4, 6, 6)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batchnorm_batch_stats_equal_two_pass_var_bitwise(shape, dtype):

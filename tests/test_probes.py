@@ -6,14 +6,16 @@ import pytest
 
 from dataclasses import replace
 
-from rebasin import probes, prune
+from rebasin import ops, prune
 from rebasin.data import synth_blobs
 from rebasin.match import apply_perm, random_perm
-from rebasin.model import build_model, forward, mlp_descriptor, wiring
+from rebasin.model import (NonFiniteError, build_model, cnn_descriptor, forward,
+                           mlp_descriptor, wiring)
 from rebasin.probes import LayerProbe, channel_probe, l2_distance, retrain_probe
+from rebasin.renorm import data_independent_correct, measure_stats
 from rebasin.train import TrainConfig, evaluate, init_params, train
 
-from helpers import large_mean, models_bit_equal, seed_params, small_cnn_desc
+from helpers import bits_equal, large_mean, models_bit_equal, seed_params, small_cnn_desc
 
 
 def blobs(seed=3, n=256, dims=8, classes=4, spread=0.5, **kw):
@@ -149,25 +151,100 @@ def test_channel_probe_csv_and_json(tmp_path):
 
 
 def test_channel_probe_halves_read_the_same_rows(monkeypatch):
-    # 100 rows at batch 64: the activation and Fisher passes both drop the
-    # 36-row tail, while pruning scores still read every row
+    # 100 rows at batch 64: the probe walks each of the first 64 rows once,
+    # its activation rows and Fisher means both reading that walk, and drops
+    # the 36-row tail, while pruning scores still read every row
     m, ds = mlp(9), blobs(n=100)
-    rows = {"act": 0, "fisher": 0}
+    first, walked = m.params["dense0.w"], []
 
-    def counting(fn, key):
-        def wrapped(model, x, *args, **kw):
-            rows[key] += len(x)
-            return fn(model, x, *args, **kw)
-        return wrapped
-    monkeypatch.setattr(probes, "forward", counting(probes.forward, "act"))
-    monkeypatch.setattr(prune, "_forward_cached", counting(prune._forward_cached, "fisher"))
+    def counting(x, w, b, dense_fwd=ops.dense_fwd):
+        if w is first:
+            walked.append(x.copy())
+        return dense_fwd(x, w, b)
+    monkeypatch.setattr(ops, "dense_fwd", counting)
     probe = channel_probe(m, ds, batch_size=64)
-    assert rows == {"act": 64, "fisher": 64} and probe.batch_count == 1
+    assert len(walked) == 1 and bits_equal(walked[0], ds.inputs[:64])
+    assert probe.batch_count == 1
     head = replace(ds, inputs=ds.inputs[:64], labels=ds.labels[:64])
     assert probe.fisher == channel_probe(m, head, batch_size=64).fisher
-    rows["fisher"] = 0
+    walked.clear()
     prune.score(m, "diag_fisher", ds, batch_size=64)
-    assert rows["fisher"] == 100
+    assert [len(x) for x in walked] == [64, 36]
+
+
+LN_AFFINE_DESC = {"input_shape": [8], "layers": [
+    {"kind": "dense", "out": 12}, {"kind": "layernorm"}, {"kind": "channel_affine"},
+    {"kind": "relu"}, {"kind": "dense", "out": 10}, {"kind": "channel_affine"},
+    {"kind": "relu"}, {"kind": "dense", "out": 4}]}
+
+
+def probe_nets():
+    """(model, dataset) per net the one-pass probe must keep bitwise: the
+    pipeline benchmark's BatchNorm convnet, an MLP, and layernorm and
+    channel_affine nets, dense and conv."""
+    convnet = cnn_descriptor((1, 16, 16), [{"out": c, "k": 3, "pool": 2}
+                                           for c in (16, 32)], 10)
+    images = blobs(n=100, dims=256, classes=10, image_shape=(1, 16, 16))
+    small = blobs(n=100, dims=2 * 8 * 8, classes=3, image_shape=(2, 8, 8))
+    return {
+        "cnn_prune": (seed_params(build_model(convnet), 21, scale=0.3), images),
+        "mlp": (mlp(22), blobs(n=100)),
+        "ln_affine": (seed_params(build_model(LN_AFFINE_DESC), 23), blobs(n=100)),
+        "cnn_layernorm": (seed_params(build_model(small_cnn_desc(norm="layernorm")), 24),
+                          small),
+    }
+
+
+def two_pass(m, ds, batch_size, max_batches=None):
+    """The probe as two passes: the eval walk's rows, then _diag_fisher's
+    means over the same full batches."""
+    rows = channel_probe(m, ds, batch_size, max_batches, with_fisher=False)
+    raw = prune._diag_fisher(m, prune.prunable_keys(m), ds, batch_size, max_batches,
+                             drop_last=True)
+    return rows, {k: float(v.mean()) for k, v in raw.items()}
+
+
+@pytest.mark.parametrize("net", ["cnn_prune", "mlp", "ln_affine", "cnn_layernorm"])
+def test_channel_probe_is_bitwise_the_two_pass_oracle(net):
+    m, ds = probe_nets()[net]
+    for max_batches in (None, 2):
+        probe = channel_probe(m, ds, batch_size=32, max_batches=max_batches)
+        rows, fisher = two_pass(m, ds, 32, max_batches)
+        assert probe.batch_count == rows.batch_count == (max_batches or 3)
+        assert probe.rows == rows.rows
+        assert probe.fisher == fisher and list(fisher) == prune.prunable_keys(m)
+
+
+def test_channel_probe_keeps_eval_rows_of_a_batch_stats_model():
+    # data_independent_correct's batchnorm layers normalize with each batch's
+    # own statistics in eval, so the Fisher walk (running statistics) reads
+    # other values there: the rows must come from an eval walk
+    ds = blobs(n=100, dims=2 * 8 * 8, classes=3, image_shape=(2, 8, 8))
+    m = seed_params(build_model(small_cnn_desc()), 25)
+    other = seed_params(build_model(small_cnn_desc()), 26, scale=1.5)
+    fixed = data_independent_correct(m, measure_stats(other, ds, batch_size=32))
+    probe = channel_probe(fixed, ds, batch_size=32)
+    rows, fisher = two_pass(fixed, ds, 32)
+    assert probe.rows == rows.rows and probe.fisher == fisher
+    assert probe.batch_count == rows.batch_count == 3
+    running = fixed.copy()
+    running.layers = [replace(s, batch_stats_in_eval=False) for s in running.layers]
+    assert channel_probe(running, ds, batch_size=32, with_fisher=False).rows != probe.rows
+
+
+@pytest.mark.parametrize("with_fisher", [True, False])
+@pytest.mark.parametrize("where", ["input", "conv1"])
+def test_channel_probe_names_the_first_non_finite_layer(where, with_fisher):
+    m = seed_params(build_model(small_cnn_desc()), 27)
+    ds = blobs(n=100, dims=2 * 8 * 8, classes=3, image_shape=(2, 8, 8))
+    if where == "input":
+        ds = replace(ds, inputs=ds.inputs.copy())
+        ds.inputs[40, 1, 3, 3] = np.nan     # in the second batch
+    else:
+        m.params["conv1.w"][0, 0, 0, 0] = np.nan
+    with pytest.raises(NonFiniteError) as err:
+        channel_probe(m, ds, batch_size=32, with_fisher=with_fisher)
+    assert err.value.layer_name == {"input": "conv0", "conv1": "conv1"}[where]
 
 
 def test_channel_probe_needs_one_batch():
