@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import fields, replace
 
 import numpy as np
@@ -251,63 +251,26 @@ def _width(tasks):
 
 
 def _in_order(work, write, items, width):
-    """write(item, work(item)) for every item. The calling thread and
-    width - 1 worker threads take items in order and run each under its own
-    copy of the caller's context (np.errstate, for one); each result is
-    written once every earlier one is, so the files are those of a plain
-    loop. An item is taken only while fewer than width taken items are
-    unwritten, and none after a failure; the earliest failed item's
-    exception is raised once every thread has stopped.
+    """write(item, work(item)) for every item, in rounds of width items. The
+    calling thread runs a round's first item and width - 1 worker threads the
+    rest, each under its own copy of the caller's context (np.errstate, for
+    one). Once a round ends its results are written in order up to its
+    earliest failure, so the files are those of a plain loop; that failure is
+    raised once the workers have stopped, and no later round starts.
 
     The calling thread works too because a new thread allocates from a fresh
     malloc arena that cannot reuse what the caller has freed: each worker
     adds to the peak memory."""
     context = contextvars.copy_context()
-    ready = threading.Condition()
-    done, failed = {}, {}
-    taken = written = 0
-
-    def loop():
-        nonlocal taken, written
-        while True:
-            with ready:
-                ready.wait_for(lambda: failed or taken == len(items)
-                               or taken < written + width)
-                if failed or taken == len(items):
-                    return
-                i, taken = taken, taken + 1
-            try:
-                result = context.copy().run(work, items[i])
-            except BaseException as e:
-                with ready:
-                    failed[i] = e
-                    ready.notify_all()
-                return
-            with ready:
-                done[i] = result
-                try:
-                    while written in done:
-                        write(items[written], done.pop(written))
-                        written += 1
-                except BaseException as e:
-                    failed[written] = e
-                ready.notify_all()
-
-    workers = [threading.Thread(target=loop) for _ in range(width - 1)]
-    for t in workers:
-        t.start()
-    try:
-        loop()
-    except BaseException:       # interrupted while waiting: no worker takes another
-        with ready:
-            taken = len(items)
-            ready.notify_all()
-        raise
-    finally:
-        for t in workers:
-            t.join()
-    if failed:
-        raise failed[min(failed)]
+    with ThreadPoolExecutor(max(width - 1, 1)) as pool:
+        for start in range(0, len(items), width):
+            first, *rest = items[start:start + width]
+            later = [pool.submit(context.copy().run, work, item) for item in rest]
+            result = context.copy().run(work, first)
+            wait(later)
+            write(first, result)
+            for item, future in zip(rest, later):
+                write(item, future.result())
 
 
 # ---------------------------------------------------------------- subcommands

@@ -142,7 +142,10 @@ def synth_blobs(seed, n, dims, classes, spread, clusters_per_class=1,
     labels = rng.integers(0, classes, n)
     pick = rng.integers(0, clusters_per_class, n)
     x = centers[labels, pick] + spread * rng.normal(0.0, 1.0, (n, dims))
-    x = x.astype(np.float32)
+    with np.errstate(over="ignore"):        # reported just below
+        x = x.astype(np.float32)
+    if not np.isfinite(x).all():
+        raise DataError(f"spread {spread} draws inputs that overflow float32")
 
     norm = None
     std_centers = centers

@@ -57,11 +57,6 @@ class LayerProbe:
             for bid, row in self.rows.items():
                 w.writerow([bid] + [repr(row[c]) for c in PROBE_COLUMNS])
 
-    def summary(self):
-        parts = [f"{bid}: |pre|={row['pre_scale']:.4g} |post|={row['post_scale']:.4g} "
-                 f"zero={row['zero_frac']:.3f}" for bid, row in self.rows.items()]
-        return "; ".join(parts)
-
 
 def channel_probe(model, dataset, batch_size=256, max_batches=None,
                   with_fisher=True):

@@ -156,53 +156,36 @@ def score(model, method="magnitude", dataset=None, batch_size=64,
 
 # ---------------------------------------------------------------- masks
 
-def _drop_lowest(scores, count, tensor_idx):
-    """Flat indices of the `count` lowest scores; ties resolve by tensor
-    order then flat index, both ascending."""
-    order = np.lexsort((np.arange(scores.size), tensor_idx, scores))
-    return order[:count]
+def _drop_lowest(scores, sparsity):
+    """Keep-masks for score arrays ranked as one group: the floor(sparsity *
+    count) lowest scores are dropped, ties resolved by tensor order then flat
+    index, both ascending."""
+    sizes = [s.size for s in scores]
+    pooled = np.concatenate([s.reshape(-1) for s in scores])
+    tensor_idx = np.repeat(np.arange(len(scores)), sizes)
+    order = np.lexsort((np.arange(pooled.size), tensor_idx, pooled))
+    keep = np.ones(pooled.size, dtype=bool)
+    keep[order[:math.floor(sparsity * pooled.size)]] = False
+    parts = np.split(keep, np.cumsum(sizes)[:-1])
+    return [m.reshape(s.shape) for m, s in zip(parts, scores)]
 
 
-def check_mask_args(sparsity, granularity):
-    """Raise ValueError unless mask_from_scores accepts this request."""
+def mask_from_scores(smap, sparsity, granularity="global"):
+    """Keep-mask dropping floor(sparsity * count) coordinates of lowest score.
+
+    global ranks every tensor as one group; layerwise ranks each tensor as a
+    group of its own.
+    """
     if not isinstance(sparsity, (int, float)) or math.isnan(sparsity) \
             or not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must lie in [0, 1], got {sparsity}")
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}, "
                          f"expected one of {GRANULARITIES}")
-
-
-def mask_from_scores(smap, sparsity, granularity="global"):
-    """Keep-mask dropping floor(sparsity * count) coordinates of lowest score.
-
-    global pools every tensor into one ranking; layerwise applies the quota
-    to each tensor separately.
-    """
-    check_mask_args(sparsity, granularity)
+    names = list(smap.scores)
     keep = {}
-    if granularity == "layerwise":
-        for k, s in smap.scores.items():
-            flat = s.reshape(-1)
-            drop = _drop_lowest(flat, math.floor(sparsity * flat.size),
-                                np.zeros(flat.size, dtype=np.int64))
-            mask = np.ones(flat.size, dtype=bool)
-            mask[drop] = False
-            keep[k] = mask.reshape(s.shape)
-    else:
-        names = list(smap.scores)
-        flats = [smap.scores[k].reshape(-1) for k in names]
-        tensor_idx = np.concatenate([np.full(f.size, i, dtype=np.int64)
-                                     for i, f in enumerate(flats)])
-        pooled = np.concatenate(flats)
-        drop = _drop_lowest(pooled, math.floor(sparsity * pooled.size),
-                            tensor_idx)
-        mask = np.ones(pooled.size, dtype=bool)
-        mask[drop] = False
-        lo = 0
-        for k, f in zip(names, flats):
-            keep[k] = mask[lo:lo + f.size].reshape(smap.scores[k].shape)
-            lo += f.size
+    for group in [names] if granularity == "global" else [[k] for k in names]:
+        keep.update(zip(group, _drop_lowest([smap.scores[k] for k in group], sparsity)))
     return PruneMask(sparsity=float(sparsity), granularity=granularity,
                      keep=keep)
 

@@ -282,7 +282,8 @@ def test_train_side_by_side_failure_keeps_the_earlier_seeds_only(tmp_path, monke
                                                                  capsys, third_trains):
     cfg = write_cfg(tmp_path, dataset=BLOBS, model=MODEL, train={**TRAIN, "epochs": 1},
                     seeds=[1, 2, 3])
-    side_by_side(monkeypatch, "1")
+    # one round of three seeds, or rounds of two: seed 3 then waits for the first round
+    side_by_side(monkeypatch, "1", cores=3 if third_trains else 2)
     third, failing = threading.Event(), threading.Event()
 
     def before(tc):
@@ -300,10 +301,20 @@ def test_train_side_by_side_failure_keeps_the_earlier_seeds_only(tmp_path, monke
     out = tmp_path / "runs"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 3
     assert "seed 2 diverged" in capsys.readouterr().err
-    # seed 3 trains only if it was taken before the failure, and leaves no file
+    # seed 3 trains only if its round began before the failure, and leaves no file
     assert sorted(s for s, _, _ in seen) == ([1, 2, 3] if third_trains else [1, 2])
     assert sorted(os.listdir(out / "train-000")) == ["config.json", "log-seed1.csv",
                                                      "model-seed1.rbnc"]
+
+
+def test_train_calling_thread_runs_the_first_seed_of_every_round(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, dataset=BLOBS, model=MODEL, train={**TRAIN, "epochs": 1},
+                    seeds=[1, 2, 3, 4])
+    side_by_side(monkeypatch, "1")
+    seen = record_train(monkeypatch)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+    assert sorted(s for s, t, _ in seen if t is threading.current_thread()) == [1, 3]
+    assert sorted(s for s, _, _ in seen) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("fail_from", [None, 50])
@@ -563,17 +574,14 @@ def test_nan_weight_in_conv1_exits_3_naming_the_layer(tmp_path, capsys, nan_cnn,
 
 
 @pytest.mark.parametrize("command", ["train", "interp", "probe"])
-def test_data_that_overflow_float32_exit_3(tmp_path, capsys, ckpts, command):
-    """A finite spread whose draws overflow float32 makes NaN input batches."""
+def test_data_that_overflow_float32_exit_2(tmp_path, capsys, ckpts, command):
+    """A finite spread whose draws overflow float32 is a data error, not the model's."""
     doc = {"train": {"model": MODEL, "train": TRAIN},
            "interp": {"checkpoints": ckpts[:2], "grid": "quick"},
            "probe": {"checkpoint": ckpts[0]}}[command]
     cfg = write_cfg(tmp_path, dataset={**BLOBS, "spread": 1e39}, **doc)
-    with np.errstate(all="ignore"):
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 3
-    err = capsys.readouterr().err
-    assert ("training diverged" if command == "train" else
-            "non-finite values in layer dense0") in err
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert "spread 1e+39 draws inputs that overflow float32" in capsys.readouterr().err
 
 
 # (command, the fields that replace a valid config's, what stderr names)

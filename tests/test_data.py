@@ -135,6 +135,13 @@ def test_synth_validations():
         synth_blobs(seed=0, n=10, dims=3, classes=2, spread=float("nan"))
 
 
+@pytest.mark.parametrize("synth, args", [(synth_blobs, {}), (synth_embedded, {"d_eff": 2})])
+@pytest.mark.parametrize("errors", ["raise", "ignore"])
+def test_synth_draws_that_overflow_float32_raise_data_error(synth, args, errors):
+    with np.errstate(all=errors), pytest.raises(DataError, match="overflow float32"):
+        synth(seed=0, n=10, dims=3, classes=2, spread=1e39, **args)
+
+
 def test_synth_image_shape():
     ds = synth_blobs(seed=12, n=20, dims=16, classes=2, spread=1.0, image_shape=(1, 4, 4))
     assert ds.inputs.shape == (20, 1, 4, 4)
