@@ -55,7 +55,10 @@ runs them. The `score` table times one `weight_match` score matrix
 table times `eval_curve` over the default 11-point grid between two freshly
 initialized 784-input 3x256 MLPs, on 1200 train and 600 test rows (the
 `pair_tour` sizes of the pipeline benchmark), without re-normalization
-(`none`), with single-pass `repair` and with sequential `repair`.
+(`none`), with single-pass `repair` and with sequential `repair`; and the
+curve stage of `cnn_prune`: `eval_curve(mode="reset", quick=True)`, 3
+points with BatchNorm statistics reset at each, between two freshly
+initialized convnets, on 768 train and 512 test rows of 1x16x16 blobs.
 
 An empty --sizes skips the LAP table and an empty --batches the kernel
 tables, so either part runs alone.
@@ -87,7 +90,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from rebasin import lap, ops
 from rebasin.cli import _run_env
-from rebasin.data import Dataset, hold_out, synth_embedded
+from rebasin.data import Dataset, hold_out, synth_blobs, synth_embedded
 from rebasin.lap import solve_lap
 from rebasin.match import _score_matrix, random_perm, streaming_activation_stats
 from rebasin.model import (WEIGHT_KINDS, _backward, _forward_cached, _layer_fwd, build_model,
@@ -224,9 +227,9 @@ def lap_table(out, sizes, repeats):
 
 # ---------------------------------------------------------------- kernels
 
-def convnet():
+def convnet(seed=0):
     desc = cnn_descriptor((1, 16, 16), [{"out": c, "k": 3, "pool": 2} for c in (16, 32)], 10)
-    return init_params(build_model(desc), "kaiming_uniform", 0)
+    return init_params(build_model(desc), "kaiming_uniform", seed)
 
 
 def split_bwd(spec, p, cache, dy):
@@ -322,14 +325,25 @@ def score_rows(hidden, repeats):
 
 
 def curve_rows(repeats):
-    """(mode, sequential, ms) of eval_curve on a 784-input 3x256 MLP pair."""
+    """(net, mode, sequential, grid points, ms) of eval_curve on a 784-input
+    3x256 MLP pair (11 points, each of CURVES) and on a convnet pair (the
+    quick 3 points, with BatchNorm statistics reset at each)."""
     pool = synth_embedded(seed=0, n=1800, dims=784, d_eff=16, classes=10, spread=0.4,
                           clusters_per_class=8)
     tr, te = hold_out(pool, 600)
     a, b = mlp([256] * 3, 0), mlp([256] * 3, 1)
-    return [(mode, seq, median_ms(lambda: eval_curve(a, b, tr, test_ds=te, mode=mode,
-                                                     sequential=seq), repeats))
+    rows = [("3x256", mode, seq, 11,
+             median_ms(lambda: eval_curve(a, b, tr, test_ds=te, mode=mode, sequential=seq),
+                       repeats))
             for mode, seq in CURVES]
+    pool = synth_blobs(seed=0, n=1280, dims=256, classes=10, spread=0.55,
+                       clusters_per_class=2, image_shape=(1, 16, 16))
+    tr, te = hold_out(pool, 512)
+    a, b = convnet(0), convnet(1)
+    rows.append(("convnet", "reset", False, 3,
+                 median_ms(lambda: eval_curve(a, b, tr, test_ds=te, quick=True, mode="reset"),
+                           repeats)))
+    return rows
 
 
 def kernel_tables(out, batches, repeats):
@@ -356,9 +370,9 @@ def kernel_tables(out, batches, repeats):
     for name, hidden in SCORE_NETS.items():
         for bid, units, ms in score_rows(hidden, repeats):
             out.show("score", name, bid, units, ms)
-    out.show("# curve", "mode", "seq", "ms")
-    for mode, seq, ms in curve_rows(repeats):
-        out.show("curve", mode, "yes" if seq else "no", ms)
+    out.show("# curve", "net", "mode", "seq", "points", "ms")
+    for net, mode, seq, points, ms in curve_rows(repeats):
+        out.show("curve", net, mode, "yes" if seq else "no", points, ms)
 
 
 def main():

@@ -4,6 +4,7 @@ Inputs are float32, standardized per channel from the loaded split unless
 explicit constants are passed; labels are int64 class ids. Batch iteration is
 deterministic given (shuffle seed, epoch index).
 """
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -12,7 +13,7 @@ import numpy as np
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD = 3073
-_NOISE_ROWS = 256   # rows of ambient noise synth_embedded draws at a time
+_NOISE_ROWS = 256   # rows per block of synth_embedded's noise draws and of _std64's sums
 
 
 class DataError(ValueError):
@@ -124,6 +125,20 @@ def load_cifar_bin(paths, standardize=True, norm=None, split="train"):
     return Dataset(inputs=x, labels=labels, num_classes=10, split=split, norm=norm)
 
 
+def _std64(x, mean):
+    """The float64 std of x about its float64 mean, from _NOISE_ROWS rows at
+    a time: x.std(dtype=np.float64) up to the order its squares are summed
+    in (so up to the last bits), without its len(x) x dims float64
+    temporary."""
+    rows = x.reshape(len(x), -1)
+    total = 0.0
+    for lo in range(0, len(rows), _NOISE_ROWS):
+        dev = rows[lo:lo + _NOISE_ROWS].astype(np.float64)
+        dev -= mean
+        total += float(np.square(dev, out=dev).sum())
+    return math.sqrt(total / x.size)
+
+
 def synth_blobs(seed, n, dims, classes, spread, clusters_per_class=1,
                 image_shape=None, standardize=True, split="train"):
     """Deterministic Gaussian clusters with class-indexed centers.
@@ -151,7 +166,7 @@ def synth_blobs(seed, n, dims, classes, spread, clusters_per_class=1,
     std_centers = centers
     if standardize:
         mean = float(x.mean(dtype=np.float64))
-        std = max(float(x.std(dtype=np.float64)), 1e-8)
+        std = max(_std64(x, mean), 1e-8)
         x = ((x - mean) / std).astype(np.float32)
         std_centers = (centers - mean) / std
         norm = (np.array([mean], dtype=np.float32), np.array([std], dtype=np.float32))
@@ -188,7 +203,7 @@ def synth_embedded(seed, n, dims, d_eff, classes, spread, clusters_per_class=1,
             block = x[lo:lo + _NOISE_ROWS]
             block += ambient * rng.normal(0.0, 1.0, block.shape).astype(np.float32)
     mean = float(x.mean(dtype=np.float64))
-    std = max(float(x.std(dtype=np.float64)), 1e-8)
+    std = max(_std64(x, mean), 1e-8)
     x -= mean
     x /= std
     if image_shape is not None:

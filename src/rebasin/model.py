@@ -444,6 +444,12 @@ def _update_tracked(params, bid, value):
     params[key_v] = ((1 - m) * params[key_v] + m * var).astype(np.float32)
 
 
+# Layer kinds whose output is finite wherever their input is: a walk checks
+# their output only when the walk starts at them, as their input's check,
+# one layer earlier, already covers it.
+_FINITE_KEEPING = ("relu", "maxpool2d", "flatten")
+
+
 def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
           collect_norm_stats=None, start=0, stop=None, check=None):
     """The one layer loop: returns (output, {(bid, phase): tapped value}).
@@ -458,9 +464,11 @@ def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
     and, with track, any tracked boundary statistics. With a caches list,
     each layer's backward cache is appended to it. Without one (an eval pass)
     no cache outlives its layer. check has every layer output checked for
-    non-finite values; by default an eval pass checks and a walk with caches
-    does not: training leaves that to its loss check, so divergence is
-    reported with the iteration.
+    non-finite values (a relu, maxpool2d or flatten output only at the
+    walk's first layer: elsewhere its input was checked, so the first
+    non-finite layer is still the one named); by default an eval pass
+    checks and a walk with caches does not: training leaves that to its
+    loss check, so divergence is reported with the iteration.
 
     An eval pass also lets a relu, batchnorm or channel_affine layer write
     its output into its input when the walk itself made that input, as the
@@ -489,7 +497,7 @@ def _walk(model, x, batch_stats, update_stats, track, taps=(), caches=None,
         use_batch = spec.batch_stats_in_eval if batch_stats is None else batch_stats
         cur, cache = _layer_fwd(spec, p, cur, use_batch, update_stats,
                                 collect_norm_stats, inplace=own)
-        if check:
+        if check and (idx == start or spec.kind not in _FINITE_KEEPING):
             _check_finite(spec.name, cur)
         if caches is None:
             del cache   # conv cols are large; an eval pass drops them at once

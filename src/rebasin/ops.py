@@ -13,7 +13,12 @@ elementwise ops and per-channel reductions run on matching contiguous
 operands. Convolution is channels-first too: im2col lays the patches out as
 (N, C*k*k, Ho*Wo), so the forward GEMM W @ cols writes (N, Cout, Ho*Wo),
 the NCHW output, and the input gradient W.T @ dy is patch gradients in the
-same layout, which col2im reads by whole (Ho, Wo) rows.
+same layout, which col2im reads by whole (Ho, Wo) rows. im2col and
+maxpool_fwd move their data in long runs: im2col gathers the strided
+columns of one kernel column into a plane first, then copies each kernel
+row's patches out of it as whole Ho*Wo blocks (at stride 1); maxpool_fwd
+reduces along each window row into a contiguous buffer first, then across
+the window's rows on whole Wo rows.
 
 In place: an op writes into a buffer it allocated itself, and into an
 argument only where that is documented: relu_bwd writes into dy, and the
@@ -79,21 +84,28 @@ def im2col(x, k, stride, pad):
     """(N,C,H,W) -> (N, C*k*k, Ho*Wo) patch matrix, in a buffer of its own.
 
     Row c*k*k + ki*k + kj of sample n holds input channel c at kernel offset
-    (ki, kj) for every output position, row-major. The input is zero-padded
-    (one NCHW copy) only when pad > 0; each of the k*k kernel offsets then
-    fills its (N, C, Ho, Wo) slot of the (N, C, k*k, Ho, Wo) output with one
-    strided slice copy. The patches never share memory with x, which later
-    layers of an eval walk may overwrite.
+    (ki, kj) for every output position, row-major. Two stages move the data
+    in long runs: for each kernel column kj, one (N, C, H+2*pad, Wo) plane
+    holds the zero-padded input's columns kj, kj+stride, ... (copied
+    straight from x; its pad rows and the columns that fall on the padding
+    stay zero), and each kernel row ki then fills its (N, C, Ho, Wo) slot of
+    the (N, C, k*k, Ho, Wo) output from the plane's rows ki, ki+stride, ...:
+    whole Ho*Wo blocks at stride 1. One plane buffer serves every kj. The
+    patches never share memory with x, which later layers of an eval walk
+    may overwrite.
     """
     n, c, h, w = x.shape
     ho, wo = conv_out_hw(h, w, k, stride, pad)
-    xp = x
-    if pad:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = x
     cols = np.empty((n, c, k * k, ho, wo), dtype=x.dtype)
-    for i, win in enumerate(_pool_windows(ho, wo, k, stride)):
-        cols[:, :, i] = xp[win]
+    plane = np.zeros((n, c, h + 2 * pad, wo), dtype=x.dtype)
+    rows = plane[:, :, pad:pad + h]
+    for kj in range(k):
+        out_j, in_j = _inside(kj, pad, stride, wo, w)
+        rows[..., :out_j.start] = 0
+        rows[..., out_j] = x[..., in_j]
+        rows[..., out_j.stop:] = 0
+        for ki in range(k):
+            cols[:, :, ki * k + kj] = plane[:, :, ki:ki + stride * (ho - 1) + 1:stride]
     return cols.reshape(n, c * k * k, ho * wo), (ho, wo)
 
 
@@ -211,7 +223,7 @@ def relu_bwd(y, dy):
 def _pool_windows(ho, wo, k, stride):
     """Index of each kernel offset's strided slice, in row-major offset order:
     x[win] holds that element of every pooling window, laid out like y.
-    im2col reads its patches the same way."""
+    maxpool_bwd finds each window's chosen element through it."""
     for ki in range(k):
         for kj in range(k):
             yield (..., slice(ki, ki + stride * (ho - 1) + 1, stride),
@@ -219,12 +231,30 @@ def _pool_windows(ho, wo, k, stride):
 
 
 def maxpool_fwd(x, k, stride):
-    y = None
-    for win in _pool_windows(*conv_out_hw(*x.shape[2:], k, stride, 0), k, stride):
-        # np.maximum propagates NaN and returns its second operand on ties, so
-        # y keeps the first maximum in window order (the sign of a tied zero).
-        y = x[win].copy() if y is None else np.maximum(x[win], y, out=y)
-    return y
+    """Max pooling in two stages that keep the first maximum in row-major
+    window order: each window row's maximum over its k columns, for the
+    rows the windows use, into one contiguous (N, C, rows, Wo) buffer; then
+    each window's maximum over its k row maxima, reading whole Wo rows.
+
+    np.maximum(later, earlier) propagates NaN and returns earlier on ties,
+    so each stage keeps the earlier of tied elements (the sign of a tied
+    zero), and a window holding NaN gives the NaN the one-stage fold over
+    every element in window order gives.
+    """
+    ho, wo = conv_out_hw(*x.shape[2:], k, stride, 0)
+    span = stride * (ho - 1) + k    # rows the windows read
+    rowmax = _fold_max([x[:, :, :span, kj:kj + stride * (wo - 1) + 1:stride]
+                        for kj in range(k)])
+    return _fold_max([rowmax[:, :, ki:ki + stride * (ho - 1) + 1:stride] for ki in range(k)])
+
+
+def _fold_max(views):
+    """The elementwise maximum of views, folded first to last into a buffer
+    of its own: a tie keeps the earlier view's element, and NaN propagates."""
+    out = views[0].copy() if len(views) == 1 else np.maximum(views[1], views[0])
+    for later in views[2:]:
+        np.maximum(later, out, out=out)
+    return out
 
 
 def maxpool_bwd(x, y, k, stride, dy):

@@ -159,13 +159,21 @@ def score(model, method="magnitude", dataset=None, batch_size=64,
 def _drop_lowest(scores, sparsity):
     """Keep-masks for score arrays ranked as one group: the floor(sparsity *
     count) lowest scores are dropped, ties resolved by tensor order then flat
-    index, both ascending."""
+    index, both ascending, NaN ranked above every number (as np.sort ranks).
+
+    One partition finds the k-th lowest score; every lower score goes, and
+    the first of the scores tied with it (by position in the pool) fill
+    the rest of the k."""
     sizes = [s.size for s in scores]
     pooled = np.concatenate([s.reshape(-1) for s in scores])
-    tensor_idx = np.repeat(np.arange(len(scores)), sizes)
-    order = np.lexsort((np.arange(pooled.size), tensor_idx, pooled))
     keep = np.ones(pooled.size, dtype=bool)
-    keep[order[:math.floor(sparsity * pooled.size)]] = False
+    k = math.floor(sparsity * pooled.size)
+    if k:
+        kth = np.partition(pooled, k - 1)[k - 1]
+        nan = np.isnan(pooled)
+        lower, tied = (~nan, nan) if np.isnan(kth) else (pooled < kth, pooled == kth)
+        keep[lower] = False
+        keep[np.flatnonzero(tied)[:k - np.count_nonzero(lower)]] = False
     parts = np.split(keep, np.cumsum(sizes)[:-1])
     return [m.reshape(s.shape) for m, s in zip(parts, scores)]
 

@@ -4,8 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rebasin.data import (DataError, hold_out, load_cifar_bin, load_idx,
+from rebasin.data import (_NOISE_ROWS, DataError, _std64, hold_out, load_cifar_bin, load_idx,
                           synth_blobs, synth_embedded)
 
 
@@ -266,6 +267,24 @@ def test_embedded_noise_blocks_give_the_one_shot_bytes(n, ambient, image_shape):
     assert ds.inputs.dtype == x.dtype and ds.inputs.shape == x.shape
     assert ds.inputs.tobytes() == x.tobytes()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(ds.norm, norm))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 3 * _NOISE_ROWS + 7),
+       dims=st.integers(1, 48), spread=st.floats(0.01, 100.0),
+       shift=st.floats(-1e3, 1e3), image=st.booleans())
+def test_blocked_std_matches_numpy_std(seed, n, dims, spread, shift, image):
+    # the oracle holds every deviation at once and sums them in another
+    # order, so the two agree to a few float64 rounding errors
+    raw = synth_blobs(seed=seed, n=n, dims=dims, classes=3, spread=spread,
+                      standardize=False, image_shape=(1, 1, dims) if image else None)
+    x = raw.inputs + np.float32(shift)
+    mean = float(x.mean(dtype=np.float64))
+    want = float(x.std(dtype=np.float64))
+    assert abs(_std64(x, mean) - want) <= 1e-13 * want
+    ds = synth_blobs(seed=seed, n=n, dims=dims, classes=3, spread=spread)
+    std = max(float(raw.inputs.std(dtype=np.float64)), 1e-8)
+    assert abs(float(ds.norm[1][0]) - std) <= np.spacing(np.float32(std))
 
 
 def test_hold_out_covers_pool_without_overlap():

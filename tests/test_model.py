@@ -14,6 +14,7 @@ from rebasin import ops
 from rebasin.model import (
     BuildError,
     NonFiniteError,
+    _walk,
     build_model,
     fold_affine,
     forward,
@@ -376,6 +377,20 @@ def test_nonfinite_error_names_layer():
         forward(m, x)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["relu", "maxpool2d", "flatten"])
+def test_nonfinite_value_entering_a_walk_at_a_finite_keeping_layer_names_it(kind, bad):
+    # a walk checks these layers' outputs only where the walk starts: nothing
+    # in the walk has checked their input there
+    m = seed_params(build_model(small_cnn_desc()), seed=8)
+    start = next(i for i, s in enumerate(m.layers) if s.kind == kind)
+    h, _ = _walk(m, rand_batch((2, 8, 8), 3, seed=9), batch_stats=None,
+                 update_stats=False, track=False, stop=start)
+    h[1, 0, 0, 0] = bad
+    with pytest.raises(NonFiniteError, match=f"layer {m.layers[start].name}$"):
+        forward(m, h, _start=start)
+
+
 # ---------------------------------------------------------------- taps
 
 def test_taps_capture_requested_boundaries():
@@ -574,7 +589,7 @@ def tied_batch(shape, seed):
     return x
 
 
-@pytest.mark.parametrize("k, stride", [(2, 2), (3, 3), (2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("k, stride", [(2, 2), (3, 3), (2, 1), (3, 1), (3, 2), (2, 3), (3, 4)])
 def test_maxpool_matches_argmax_oracle_bitwise(k, stride):
     x = tied_batch((4, 3, 9, 10), seed=k * 10 + stride)
     y, arg = argmax_maxpool_fwd(x, k, stride)
@@ -603,7 +618,8 @@ def test_maxpool_nan_anywhere_in_a_window_gives_nan(k, stride):
             assert dx[0, 0, i, j] >= 1
 
 
-@pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (2, 2, 0), (1, 1, 0), (3, 1, 0)])
+@pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (2, 2, 0), (1, 1, 0), (3, 1, 0),
+                                            (2, 3, 1), (3, 1, 2)])
 def test_im2col_matches_window_view_bitwise(k, stride, pad):
     x = rand_batch((3, 7, 6), 2, seed=k + stride + pad)
     cols, (ho, wo) = ops.im2col(x, k, stride, pad)

@@ -296,6 +296,37 @@ def test_tie_break_is_tensor_order_then_flat_index():
     assert mask.keep["dense1.w"].all()
 
 
+def lexsort_keep(scores, sparsity):
+    """Keep-masks of one group by a full ranking: a lexsort on (score, tensor
+    index, flat index), NaN last, the floor(sparsity * count) first dropped."""
+    pooled = np.concatenate([v.reshape(-1) for v in scores])
+    tensor = np.repeat(np.arange(len(scores)), [v.size for v in scores])
+    order = np.lexsort((np.arange(pooled.size), tensor, pooled))
+    keep = np.ones(pooled.size, dtype=bool)
+    keep[order[:math.floor(sparsity * pooled.size)]] = False
+    return np.split(keep, np.cumsum([v.size for v in scores])[:-1])
+
+
+@pytest.mark.parametrize("s", [0.0, 0.1, 1 / 3, 0.5, 0.77, 0.9, 1.0])
+@pytest.mark.parametrize("granularity", ["global", "layerwise"])
+def test_mask_matches_full_ranking_on_ties_signed_zeros_and_nan(s, granularity):
+    # scores on a 0.5 grid tie often; half the zeros are -0.0; a fifth are
+    # NaN, so at high sparsities the cut falls among the NaNs
+    rng = np.random.default_rng(int(s * 100))
+    scores = {}
+    for name, shape in (("a.w", (6, 5)), ("b.w", (7,)), ("c.w", (3, 4, 2))):
+        v = np.round(rng.normal(0.0, 1.0, shape) * 2) / 2
+        zeros = v == 0
+        v[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        v[rng.random(shape) < 0.2] = np.nan
+        scores[name] = v
+    mask = mask_from_scores(ScoreMap("magnitude", scores), s, granularity=granularity)
+    groups = [list(scores)] if granularity == "global" else [[k] for k in scores]
+    for group in groups:
+        for k, want in zip(group, lexsort_keep([scores[k] for k in group], s)):
+            assert np.array_equal(mask.keep[k].reshape(-1), want), k
+
+
 def test_global_equals_layerwise_for_single_prunable_tensor():
     m = single_dense(np.random.default_rng(0).normal(size=(5, 7)))
     smap = score(m)
