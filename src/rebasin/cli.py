@@ -22,7 +22,7 @@ from . import data
 from .checkpoint import _atomic_write, load_checkpoint, save_checkpoint
 from .lap import SENSES, solve_lap
 from .match import MATCHERS, STRATEGIES, _resolve_matcher, apply_perm, multi_match
-from .model import POST, build_model
+from .model import build_model
 from .probes import channel_probe
 from .prune import (GRANULARITIES, METHODS, POST_PRUNE_MODES, apply_mask, mask_from_scores,
                     post_prune_repair, score)
@@ -120,10 +120,12 @@ def _list(kind, item, size=None, least=1, distinct=False):
     return check
 
 
-# A train section holds TrainConfig's fields, each of the kind its default's type implies.
+# A train section holds TrainConfig's fields, each of the kind its default's type implies,
+# but l2_every: a run writes nothing computed from its parameter-norm snapshots.
 _TRAIN_KINDS = {bool: _flag, int: _count(0), float: _number(), str: _string,
                 tuple: _list(_count(0), "milestone", least=0)}
-_TRAIN = {f.name: (_TRAIN_KINDS[type(f.default)], f.default) for f in fields(TrainConfig)}
+_TRAIN = {f.name: (_TRAIN_KINDS[type(f.default)], f.default) for f in fields(TrainConfig)
+          if f.name != "l2_every"}
 
 
 _SYNTH = {"seed": (_count(0), REQUIRED), "n": (_count(0), REQUIRED),
@@ -304,7 +306,7 @@ def _cmd_match(v, run):
     a, b = (load_checkpoint(p) for p in v["checkpoints"])
     ds, = _generate(v["dataset"])
     match = _resolve_matcher(v["matcher"], ds, seed=v["seed"], batch_size=v["batch_size"],
-                             phase=POST, max_sweeps=v["max_sweeps"])
+                             max_sweeps=v["max_sweeps"])
     spec, report = match(a, b)
     _write_json(os.path.join(run, "perm.json"), {"perms": spec.to_jsonable()})
     _write_json(os.path.join(run, "report.json"),

@@ -4,7 +4,6 @@ Inputs are float32, standardized per channel from the loaded split unless
 explicit constants are passed; labels are int64 class ids. Batch iteration is
 deterministic given (shuffle seed, epoch index).
 """
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -13,7 +12,7 @@ import numpy as np
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD = 3073
-_NOISE_ROWS = 256   # rows per block of synth_embedded's noise draws and of _std64's sums
+_NOISE_ROWS = 256   # rows per block of synth_embedded's noise draws, _std64 and _standardize
 
 
 class DataError(ValueError):
@@ -50,23 +49,18 @@ class Dataset:
 
 
 def _standardize(x, norm):
-    """Per-channel standardization; flat data is treated as one channel."""
+    """Per-channel standardization of float32 (N, C, H, W) inputs, in place
+    and _NOISE_ROWS samples at a time; each value is (x - mean) / std in the
+    norm's precision, rounded to float32."""
     if norm is None:
-        if x.ndim == 4:
-            axes = (0, 2, 3)
-            mean = x.mean(axis=axes, dtype=np.float64)
-            std = x.std(axis=axes, dtype=np.float64)
-        else:
-            mean = np.array([x.mean(dtype=np.float64)])
-            std = np.array([x.std(dtype=np.float64)])
-        std = np.maximum(std, 1e-8)
+        mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
+        std = np.maximum(_std64(x, mean), 1e-8)
         norm = (mean.astype(np.float32), std.astype(np.float32))
-    mean, std = norm
-    if x.ndim == 4:
-        x = (x - mean[None, :, None, None]) / std[None, :, None, None]
-    else:
-        x = (x - mean[0]) / std[0]
-    return x.astype(np.float32), norm
+    mean, std = (v[:, None, None] for v in norm)
+    for lo in range(0, len(x), _NOISE_ROWS):
+        block = x[lo:lo + _NOISE_ROWS]
+        block[...] = (block - mean) / std
+    return x, norm
 
 
 def load_idx(images, labels, standardize=True, norm=None, split="train"):
@@ -97,7 +91,8 @@ def load_idx(images, labels, standardize=True, norm=None, split="train"):
     if labels.max(initial=0) > 9:
         raise DataError(f"label value {labels.max()} out of range [0, 10)")
 
-    x = images.astype(np.float32) / 255.0
+    x = images.astype(np.float32)
+    x /= 255.0
     if standardize:
         x, norm = _standardize(x, norm)
     return Dataset(inputs=x, labels=labels, num_classes=10, split=split, norm=norm)
@@ -119,7 +114,8 @@ def load_cifar_bin(paths, standardize=True, norm=None, split="train"):
     labels = np.concatenate(labels)
     if labels.max(initial=0) > 9:
         raise DataError(f"label value {labels.max()} out of range [0, 10)")
-    x = np.concatenate(chunks).astype(np.float32) / 255.0
+    x = np.concatenate(chunks).astype(np.float32)
+    x /= 255.0
     if standardize:
         x, norm = _standardize(x, norm)
     return Dataset(inputs=x, labels=labels, num_classes=10, split=split, norm=norm)
@@ -129,14 +125,21 @@ def _std64(x, mean):
     """The float64 std of x about its float64 mean, from _NOISE_ROWS rows at
     a time: x.std(dtype=np.float64) up to the order its squares are summed
     in (so up to the last bits), without its len(x) x dims float64
-    temporary."""
-    rows = x.reshape(len(x), -1)
+    temporary. A float mean gives one std over all of x; a vector of an
+    (N, C, H, W) x's channel means gives the per-channel stds, as
+    x.std(axis=(0, 2, 3), dtype=np.float64) does."""
+    per_channel = np.ndim(mean) == 1
+    if per_channel:
+        rows, centre, axes = x, mean[:, None, None], (0, 2, 3)
+    else:
+        rows, centre, axes = x.reshape(len(x), -1), mean, None
     total = 0.0
     for lo in range(0, len(rows), _NOISE_ROWS):
         dev = rows[lo:lo + _NOISE_ROWS].astype(np.float64)
-        dev -= mean
-        total += float(np.square(dev, out=dev).sum())
-    return math.sqrt(total / x.size)
+        dev -= centre
+        total = total + np.square(dev, out=dev).sum(axis=axes)
+    std = np.sqrt(total / (x.size // np.size(mean)))
+    return std if per_channel else float(std)
 
 
 def synth_blobs(seed, n, dims, classes, spread, clusters_per_class=1,

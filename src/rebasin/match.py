@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lap import solve_lap
-from .model import (POST, PRE, _check_same_arch, _inputs, forward, layer_tensors, stat_key,
+from .model import (POST, _check_same_arch, _inputs, forward, layer_tensors, stat_key,
                     wiring)
 from .ops import DEAD_STD, Moments
 from .probes import l2_distance
@@ -259,9 +259,8 @@ def weight_match(model_a, model_b, seed=0, max_sweeps=100):
 
 # ---------------------------------------------------------------- activation matching
 
-def streaming_activation_stats(model_a, model_b, dataset, batch_size=256,
-                               phase=POST):
-    """Single-pass per-boundary activation statistics for a model pair.
+def streaming_activation_stats(model_a, model_b, dataset, batch_size=256):
+    """Single-pass per-boundary post-activation statistics for a model pair.
 
     Feeds identical batches (equal-size, remainder dropped) to both models,
     reduces conv maps by spatial mean, and merges batches through float64
@@ -269,15 +268,13 @@ def streaming_activation_stats(model_a, model_b, dataset, batch_size=256,
     models and the cross-correlation matrix, with dead units' (std at most
     DEAD_STD) rows and columns zeroed.
     """
-    if phase not in (PRE, POST):
-        raise ValueError(f"phase must be {PRE!r} or {POST!r}")
     _check_same_arch(model_a, model_b)
     batches = dataset.num_batches(batch_size, drop_last=True)
     if batches < 2:
         raise ValueError(f"activation statistics need at least two equal-size batches: "
                          f"{dataset.n} rows at batch_size {batch_size} give {batches}")
     bids = [bid for bid, _ in model_a.boundary_map]
-    taps = [(bid, phase) for bid in bids]
+    taps = [(bid, POST) for bid in bids]
     acc = {bid: (Moments(), Moments(), Moments()) for bid in bids}  # a, b, a x b
     for _, xb, _ in _inputs(dataset, batch_size, drop_last=True):
         _, ta = forward(model_a, xb, taps=taps)
@@ -312,10 +309,9 @@ def streaming_activation_stats(model_a, model_b, dataset, batch_size=256,
     return out
 
 
-def activation_match(model_a, model_b, dataset, batch_size=256, phase=POST):
-    """Align model_b's units to model_a by per-unit activation correlation."""
-    stats = streaming_activation_stats(model_a, model_b, dataset,
-                                       batch_size=batch_size, phase=phase)
+def activation_match(model_a, model_b, dataset, batch_size=256):
+    """Align model_b's units to model_a by per-unit post-activation correlation."""
+    stats = streaming_activation_stats(model_a, model_b, dataset, batch_size=batch_size)
     perms, total = {}, 0.0
     for bid, _ in model_a.boundary_map:
         res = solve_lap(stats[bid]["corr"], sense="maximize")
@@ -342,9 +338,7 @@ def mean_models(models):
     return out
 
 
-def _resolve_matcher(matcher, dataset, seed, batch_size, phase, max_sweeps):
-    if callable(matcher):
-        return matcher
+def _resolve_matcher(matcher, dataset, seed, batch_size, max_sweeps=100):
     if matcher == "weight":
         return lambda target, src: weight_match(target, src, seed=seed,
                                                 max_sweeps=max_sweeps)
@@ -352,13 +346,12 @@ def _resolve_matcher(matcher, dataset, seed, batch_size, phase, max_sweeps):
         if dataset is None:
             raise ValueError("activation matcher needs a dataset")
         return lambda target, src: activation_match(target, src, dataset,
-                                                    batch_size=batch_size,
-                                                    phase=phase)
+                                                    batch_size=batch_size)
     raise ValueError(f"unknown matcher {matcher!r}")
 
 
 def multi_match(models, strategy="reference", matcher="weight", dataset=None,
-                iter_cap=30, seed=0, batch_size=256, phase=POST, max_sweeps=100):
+                iter_cap=30, seed=0, batch_size=256):
     """Merge several same-architecture models into one by aligning units.
 
     reference: match every model to the first.
@@ -380,7 +373,7 @@ def multi_match(models, strategy="reference", matcher="weight", dataset=None,
                                 "converged": True}
         return merged, [identity_perm(models[0])]
 
-    match = _resolve_matcher(matcher, dataset, seed, batch_size, phase, max_sweeps)
+    match = _resolve_matcher(matcher, dataset, seed, batch_size)
     perms = [identity_perm(models[0]) for _ in models]
     iterations, converged = 1, True
 

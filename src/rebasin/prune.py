@@ -222,7 +222,8 @@ def post_prune_repair(pruned, original, dataset, mode="reset", batch_size=256,
             when the architecture has no batchnorm to reset).
     repair: measure per-boundary activation statistics on the original net
             and insert affine corrections that restore them on the pruned
-            one; corrections fold away afterwards via fold_affine.
+            one; the corrections stay in the returned model as channel_affine
+            layers, which fold_affine merges into the weights.
     """
     _check_same_arch(pruned, original)
     if mode == "reset":

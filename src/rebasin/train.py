@@ -261,39 +261,35 @@ def train(model, dataset, config, test_ds=None, frozen=(), stop_at_train_acc=Non
 
 # ---------------------------------------------------------------- recipes
 
-def spawn_pair(model, dataset, config, pretrain_epochs, child_seeds=(1, 2),
-               test_ds=None):
+def spawn_pair(model, dataset, config, pretrain_epochs, child_seeds=(1, 2)):
     """Train a shared parent for pretrain_epochs, then branch two children that
     finish the epoch budget with independent shuffle seeds."""
     if not 0 <= pretrain_epochs <= config.epochs:
         raise ValueError("pretrain_epochs must lie within the epoch budget")
     parent = init_params(model, config.init, config.seed)
     if pretrain_epochs:
-        parent, _ = train(parent, dataset,
-                          replace(config, epochs=pretrain_epochs), test_ds)
+        parent, _ = train(parent, dataset, replace(config, epochs=pretrain_epochs))
     rest = config.epochs - pretrain_epochs
     out = []
     for s in child_seeds[:2]:
-        child, _ = train(parent, dataset, replace(config, epochs=rest, seed=s),
-                         test_ds)
+        child, _ = train(parent, dataset, replace(config, epochs=rest, seed=s))
         out.append(child)
     return out[0], out[1]
 
 
 def retrain_same_basin(model, dataset, config, big_lr_epochs, small_lr_epochs,
-                       big_lr=0.1, small_lr=0.01, seed=0, test_ds=None):
+                       big_lr=0.1, small_lr=0.01, seed=0):
     """Kick a trained solution with a large constant lr, then settle it with a
     small one; the result stays linearly connected to the input solution."""
     out = model.copy()
     flat = replace(config, schedule="constant", warmup_iters=0, milestones=())
     if big_lr_epochs:
         out, _ = train(out, dataset,
-                       replace(flat, base_lr=big_lr, epochs=big_lr_epochs, seed=seed),
-                       test_ds)
+                       replace(flat, base_lr=big_lr, epochs=big_lr_epochs, seed=seed))
     if small_lr_epochs:
         out, _ = train(out, dataset,
                        replace(flat, base_lr=small_lr, epochs=small_lr_epochs,
-                               seed=seed + 1), test_ds)
+                               seed=seed + 1))
     return out
 
 

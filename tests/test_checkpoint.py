@@ -273,3 +273,26 @@ def test_roundtrip_property(tmp_path_factory, widths, seed):
     path = tmp_path_factory.mktemp("ckpt") / "m.rbnc"
     save_checkpoint(m, path)
     assert models_bit_equal(m, load_checkpoint(path))
+
+
+def test_every_proper_prefix_raises_checkpoint_error(tmp_path):
+    """A file cut anywhere before its end: no preamble, part of the header
+    or part of the payload each raise CheckpointError and nothing else."""
+    path = tmp_path / "m.rbnc"
+    save_checkpoint(seed_params(build_model(mlp_descriptor(3, [2], 2)), seed=15), path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[8:16])
+    escaped = []
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        want = "missing preamble" if cut < 16 else \
+            "incomplete header" if cut < 16 + hlen else "truncated payload"
+        try:
+            load_checkpoint(path)
+            escaped.append((cut, "loaded"))
+        except CheckpointError as e:
+            if want not in str(e):
+                escaped.append((cut, str(e)))
+        except Exception as e:  # collected, so one run lists every escape
+            escaped.append((cut, type(e).__name__))
+    assert escaped == []

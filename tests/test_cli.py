@@ -2,6 +2,7 @@
 contract: 0 success, 2 validation/config trouble, 3 numerical failure."""
 import json
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -584,6 +585,24 @@ def test_data_that_overflow_float32_exit_2(tmp_path, capsys, ckpts, command):
     assert "spread 1e+39 draws inputs that overflow float32" in capsys.readouterr().err
 
 
+def test_train_on_a_truncated_idx_file_exits_2(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, 6, 4, 4)
+                       + rng.integers(0, 256, 6 * 16 - 1, dtype=np.uint8).tobytes())
+    labels.write_bytes(struct.pack(">II", 0x00000801, 6)
+                       + rng.integers(0, 10, 6, dtype=np.uint8).tobytes())
+    model = {"input_shape": [1, 4, 4], "layers": [{"kind": "flatten"},
+                                                  {"kind": "dense", "out": 10}]}
+    cfg = write_cfg(tmp_path, dataset={"kind": "idx", "images": str(images),
+                                       "labels": str(labels)},
+                    model=model, train={**TRAIN, "batch_size": 2})
+    out = tmp_path / "r"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert "image payload size mismatch for count 6" in capsys.readouterr().err
+    assert os.listdir(out / "train-000") == ["config.json"]
+
+
 # (command, the fields that replace a valid config's, what stderr names)
 _BAD_FIELDS = {
     "blobs_standardize": ("train", {"dataset": {**BLOBS, "standardize": "no"}},
@@ -606,6 +625,8 @@ _BAD_FIELDS = {
     "train_milestones": ("train", {"train": {**TRAIN, "milestones": [1.5]}},
                          "milestones: milestone must be an integer"),
     "train_momentum": ("train", {"train": {**TRAIN, "momentum": 1.0}}, "momentum"),
+    "train_l2_every": ("train", {"train": {**TRAIN, "l2_every": 5}},
+                       "train: unknown keys ['l2_every']"),
     "seeds_empty": ("train", {"seeds": []}, "seeds must be a list of 1 or more"),
     "seeds_repeated": ("train", {"seeds": [1, 1]}, "seeds must be distinct"),
     "method": ("prune", {"method": "bogus"}, "unknown method 'bogus'"),

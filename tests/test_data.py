@@ -302,3 +302,75 @@ def test_hold_out_validates_size():
     for bad in (0, 30, 31):
         with pytest.raises(DataError, match="n_test"):
             hold_out(ds, bad)
+
+
+# (what is cut or changed, the message) for each of load_idx's header and
+# payload checks that the cases above do not reach
+_IDX_FAULTS = {
+    "short_image_file": (lambda img, lab: (img[:15], lab), "image file too short"),
+    "image_size_mismatch": (lambda img, lab: (img[:-1], lab), "image payload size mismatch"),
+    "short_label_file": (lambda img, lab: (img, lab[:7]), "label file too short"),
+    "bad_label_magic": (lambda img, lab: (img, b"\x00\x00\x08\x99" + lab[4:]),
+                        "bad label magic 0x00000899"),
+    "label_size_mismatch": (lambda img, lab: (img, lab + b"\x01"),
+                            "label payload size mismatch"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_IDX_FAULTS))
+def test_idx_header_and_payload_faults_raise_data_error(tmp_path, fault):
+    rng = np.random.default_rng(30)
+    ip, lp = write_idx_pair(tmp_path, rng.integers(0, 256, (5, 3, 4)),
+                            rng.integers(0, 10, 5))
+    cut, message = _IDX_FAULTS[fault]
+    img, lab = cut(ip.read_bytes(), lp.read_bytes())
+    ip.write_bytes(img)
+    lp.write_bytes(lab)
+    with pytest.raises(DataError, match=message):
+        load_idx(ip, lp)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 2 * _NOISE_ROWS + 9),
+       channels=st.integers(1, 3), side=st.integers(1, 5),
+       shift=st.floats(-1e3, 1e3), scale=st.floats(1e-3, 1e3))
+def test_blocked_channel_std_matches_numpy_std(seed, n, channels, side, shift, scale):
+    rng = np.random.default_rng(seed)
+    x = (shift + scale * rng.normal(size=(n, channels, side, side))).astype(np.float32)
+    x[:, 0] = x[0, 0]       # a channel without spread
+    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
+    want = x.std(axis=(0, 2, 3), dtype=np.float64)
+    got = _std64(x, mean)
+    assert got.dtype == np.float64 and got.shape == (channels,)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(want, np.abs(mean)))
+
+
+def test_cifar_standardize_is_the_whole_array_formula(tmp_path):
+    """Per-channel norm from the blocked std, applied in place: the std
+    within one float32 spacing of numpy's, and the inputs bitwise the
+    whole-array (x - mean) / std."""
+    p = tmp_path / "batch.bin"
+    make_cifar_file(p, _NOISE_ROWS + 21, seed=31)
+    raw = load_cifar_bin([p], standardize=False).inputs
+    ds = load_cifar_bin([p], standardize=True)
+    mean, std = ds.norm
+    assert mean.dtype == std.dtype == np.float32 and std.shape == (3,)
+    want = raw.std(axis=(0, 2, 3), dtype=np.float64)
+    assert np.all(np.abs(std - want) <= np.spacing(want.astype(np.float32)))
+    assert mean.tobytes() == raw.mean(axis=(0, 2, 3), dtype=np.float64).astype(
+        np.float32).tobytes()
+    formula = ((raw - mean[None, :, None, None]) / std[None, :, None, None]).astype(np.float32)
+    assert ds.inputs.dtype == np.float32 and ds.inputs.tobytes() == formula.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_idx_given_norm_is_applied_in_its_own_precision(tmp_path, dtype):
+    rng = np.random.default_rng(32)
+    ip, lp = write_idx_pair(tmp_path, rng.integers(0, 256, (_NOISE_ROWS + 3, 4, 4)),
+                            rng.integers(0, 10, _NOISE_ROWS + 3))
+    norm = (np.array([0.3], dtype=dtype), np.array([0.7], dtype=dtype))
+    raw = load_idx(ip, lp, standardize=False).inputs
+    ds = load_idx(ip, lp, norm=norm)
+    assert ds.norm is norm
+    formula = ((raw - norm[0][0]) / norm[1][0]).astype(np.float32)
+    assert ds.inputs.dtype == np.float32 and ds.inputs.tobytes() == formula.tobytes()

@@ -2,15 +2,20 @@
 convs, max pooling (stride below the kernel included), flatten into dense
 layers, batchnorm with and without affine, layernorm, channel_affine,
 bias-free weight layers and tracked boundary statistics."""
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from rebasin.data import Dataset
 from rebasin.lap import solve_lap
 from rebasin.match import (_gather, _others, _perm_axes, _score_matrix, _unit_view, apply_perm,
                            invert, random_perm, weight_match)
-from rebasin.model import POST, PRE, _walk, build_model, forward, stat_key, wiring
+from rebasin.model import POST, PRE, _walk, build_model, fold_affine, forward, stat_key, wiring
 from rebasin.ops import conv_out_hw
 from rebasin.probes import l2_distance
+from rebasin.renorm import measure_stats, repair
 from helpers import bits_equal, models_bit_equal, rand_batch, seed_params
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -174,3 +179,31 @@ def test_walk_split_at_any_layer_is_the_whole_forward_bitwise(m, seed):
         assert len(got) == len(head) + len(tail) == len(want_taps)
         for tap in want_taps:
             assert bits_equal(got[(tap.boundary_id, tap.phase)], tap.value)
+
+
+@pytest.mark.filterwarnings("ignore:.*dead channels")
+@SETTINGS
+@given(m=models(), seed=st.integers(0, 1000))
+def test_fold_affine_removes_repair_corrections_and_keeps_logits(m, seed):
+    """repair inserts a channel_affine at every boundary, after any norm layer
+    (batchnorm or layernorm, affine or not) or drawn channel_affine, and
+    fold_affine merges each into the layer before it. The goals lie near the
+    model's own statistics (each correction scales by 0.5-2), so the fold is
+    well conditioned and the logits move by float32 rounding only."""
+    ds = Dataset(inputs=rand_batch(m.input_shape, 32, seed=seed),
+                 labels=np.zeros(32, dtype=np.int64), num_classes=3)
+    own = measure_stats(m, ds, batch_size=16)
+    rng = np.random.default_rng(seed)
+    goals = replace(own,
+                    means={b: v + rng.normal(0.0, 1.0, v.shape) for b, v in own.means.items()},
+                    stds={b: v * rng.uniform(0.5, 2.0, v.shape) for b, v in own.stds.items()})
+    fixed = repair(m, goals, ds, batch_size=16)
+    assert sum(s.kind == "channel_affine" for s in fixed.layers) == \
+        len(m.boundary_map) + sum(s.kind == "channel_affine" for s in m.layers)
+    folded = fold_affine(fixed)
+    assert [s.kind for s in folded.layers] == [s.kind for s in m.layers
+                                               if s.kind != "channel_affine"]
+    assert all(v.dtype == np.float32 for v in folded.params.values())
+    x = rand_batch(m.input_shape, 8, seed=seed + 2)
+    want, got = forward(fixed, x), forward(folded, x)
+    assert np.abs(got - want).max() <= 1e-4 * max(1.0, np.abs(want).max())
